@@ -69,7 +69,6 @@ OPTIONS: dict[str, tuple[Callable[[Any], bool] | None, frozenset[str]]] = {
     "instances_per_pe": (_count, _DYNAMIC),
     "autoscale": (_flag, _DYNAMIC),
     "fuse": (_flag, _DYNAMIC),
-    "broker": (None, _DYNAMIC),
 }
 
 
@@ -113,8 +112,8 @@ def run_graph(
     refuses it).  ``multi`` (and its ``mpi`` alias) takes
     ``num_processes``, ``verbose`` and a fixed ``batch_max_items``.
     ``dynamic`` takes ``min_workers`` / ``max_workers`` (``num_processes``
-    sets the latter) / ``instances_per_pe`` / ``autoscale`` / ``broker``
-    and the batching knobs ``batch_max_items`` / ``fuse``.  ``trace`` /
+    sets the latter) / ``instances_per_pe`` / ``autoscale`` and the
+    batching knobs ``batch_max_items`` / ``fuse``.  ``trace`` /
     ``tracer`` / ``registry`` are accepted by every mapping: with
     ``trace=True`` the result carries a span tree on ``result.trace``, and
     per-instance metrics are recorded into ``registry`` (or the process

@@ -2,11 +2,12 @@
 
 This reproduces dispel4py's Redis-based dynamic workload allocation
 (Liang et al., 2022): instead of statically binding processes to PEs, data
-items become *tasks* on a shared FIFO queue (the simulated Redis broker,
+items become *tasks* on a FIFO queue (the simulated Redis broker,
 :class:`~repro.d4py.redisim.RedisSim`), and an elastic pool of workers pulls
 tasks regardless of which PE they belong to.  An autoscaler grows the pool
 while the queue is deep and shrinks it when the queue idles — the adaptive
-resource allocation the paper's §II-A describes.
+resource allocation the paper's §II-A describes.  Each pool owns a private
+broker for its lifetime, so concurrent runs never share a queue.
 
 As a placement over :class:`~repro.d4py.mappings.kernel.Kernel`, the
 instances are deep copies of the graph's PEs created on first use, each
@@ -75,6 +76,18 @@ _WAIT_SLOW = 0.002
 #: Histogram buckets for the per-frame batch-size distribution.
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
+#: Pools from :meth:`ElasticPool.start` until :meth:`ElasticPool.finish`
+#: returns: the dynamic gauges sum over those of their registry, so a
+#: finished pool is neither counted nor kept alive by a registry.
+_live: set["ElasticPool"] = set()
+_live_lock = threading.Lock()
+
+
+def _live_sum(metrics, measure: Callable[["ElasticPool"], int]) -> int:
+    with _live_lock:
+        pools = [pool for pool in _live if pool.metrics is metrics]
+    return sum(measure(pool) for pool in pools)
+
 
 class _Worker:
     """One thread's frame-local state.
@@ -106,9 +119,6 @@ class ElasticPool:
     ----------
     graph:
         The abstract workflow.
-    broker:
-        Supply a shared :class:`RedisSim` (e.g. the process-wide default) —
-        a fresh private broker is used when omitted.
     min_workers, max_workers:
         Bounds for the elastic worker pool.
     instances_per_pe:
@@ -145,7 +155,6 @@ class ElasticPool:
     def __init__(
         self,
         graph: WorkflowGraph,
-        broker: RedisSim | None = None,
         min_workers: int = 1,
         max_workers: int = 8,
         instances_per_pe: int = 4,
@@ -166,13 +175,11 @@ class ElasticPool:
         self.kernel = kernel = Kernel(
             flat, "dynamic", counts, stop, trace, tracer, registry, fuse=fuse
         )
-        self.broker = broker or RedisSim()
+        self.broker = RedisSim()
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.autoscale = autoscale
         self.frame_size = frame_size(batch_max_items)
-        # Per-run key namespace so several enactments can share one broker.
-        self.ns = f"d4pyrun:{id(self)}:"
 
         self.workers: list[threading.Thread] = []
         self.workers_lock = threading.Lock()
@@ -196,7 +203,7 @@ class ElasticPool:
         self._wait_ewma = 0.0
 
         self._wait_histogram = self._batch_histogram = None
-        metrics = obs_runtime.active_registry(registry)
+        self.metrics = metrics = obs_runtime.active_registry(registry)
         if metrics is not None:
             self._wait_histogram = metrics.histogram(
                 "laminar_dynamic_queue_wait_seconds",
@@ -213,13 +220,12 @@ class ElasticPool:
             )
             metrics.gauge(
                 "laminar_dynamic_queue_depth",
-                "Tasks currently queued on the dynamic mapping's broker.",
-            ).set_function(lambda: self.broker.llen(self.ns + _TASKS))
+                "Tasks queued across the live dynamic runs' brokers.",
+            ).set_function(lambda: _live_sum(metrics, lambda pool: pool.broker.llen(_TASKS)))
             metrics.gauge(
                 "laminar_dynamic_workers",
-                "Live worker threads of the most recent dynamic enactment.",
-            ).set_function(lambda: len(self.workers))
-            self.broker.bind_metrics(metrics)
+                "Worker threads of the live dynamic runs.",
+            ).set_function(lambda: _live_sum(metrics, lambda pool: len(pool.workers)))
 
         #: ``(span, second stage)`` per fused segment, when traced: every
         #: item the second stage processed crossed the segment inline.
@@ -237,6 +243,8 @@ class ElasticPool:
     def start(self) -> "ElasticPool":
         """Spawn ``min_workers`` workers and the autoscaler, each in a copy
         of the caller's :mod:`contextvars` context."""
+        with _live_lock:
+            _live.add(self)
         with self.kernel.setup(
             min_workers=self.min_workers, max_workers=self.max_workers, autoscale=self.autoscale
         ):
@@ -260,8 +268,8 @@ class ElasticPool:
         """
         if self._batch_histogram is not None:
             self._batch_histogram.labels(name).observe(len(items))
-        self.broker.incr(self.ns + _PENDING)
-        self.broker.rpush(self.ns + _TASKS, (name, idx, port, items, time.perf_counter()))
+        self.broker.incr(_PENDING)
+        self.broker.rpush(_TASKS, (name, idx, port, items, time.perf_counter()))
 
     def feed(self) -> Callable[[Any], None]:
         """A thread-safe ``push(item)`` delivering one item to every entry
@@ -285,7 +293,7 @@ class ElasticPool:
 
     def pending(self) -> int:
         """Task frames currently queued or executing."""
-        return int(self.broker.get(self.ns + _PENDING) or 0)
+        return int(self.broker.get(_PENDING) or 0)
 
     def finish(self) -> RunResult:
         """Drain the queue, retire the pool, run the postprocess sweep and
@@ -296,7 +304,7 @@ class ElasticPool:
         try:
             with kernel.enact():
                 try:
-                    kernel.wait(self._in_flight, self.ns + _TASKS)
+                    kernel.wait(self._in_flight, _TASKS)
                 finally:
                     self._retire()
                 state = self._state()  # postprocess emissions land here
@@ -306,7 +314,9 @@ class ElasticPool:
                     if inst.span is not None:
                         inst.span.set(queue_wait_seconds=round(self.queue_wait.get(key, 0.0), 6))
                 for span, stage in self.segments:
-                    items = sum(int(i.cell[0]) for (name, _), i in kernel.instances.items() if name == stage)
+                    items = sum(
+                        int(i.cell[0]) for (name, _), i in kernel.instances.items() if name == stage
+                    )
                     span.set(items=items).end()
                 if kernel.root is not None:
                     kernel.root.set(peak_workers=self.peak_workers)
@@ -315,9 +325,8 @@ class ElasticPool:
                     f"(min {self.min_workers}, max {self.max_workers})"
                 )
         finally:
-            # Drop the per-run namespace so enactments sharing a long-lived
-            # broker do not accumulate ghost keys.
-            self.broker.delete_prefix(self.ns)
+            with _live_lock:
+                _live.discard(self)
         return kernel.result
 
     def run(self, input_spec: Any) -> RunResult:
@@ -397,7 +406,7 @@ class ElasticPool:
             return self.frame_size
         now = time.perf_counter()
         if now - self._adaptive_stamp >= _ADAPTIVE_REFRESH:
-            depth = self.broker.llen(self.ns + _TASKS)
+            depth = self.broker.llen(_TASKS)
             target = max(1, min(ADAPTIVE_CAP, depth // max(1, len(self.workers))))
             if self._wait_ewma > _WAIT_SLOW:
                 target = min(ADAPTIVE_CAP, max(target * 2, 8))
@@ -405,7 +414,9 @@ class ElasticPool:
             self._adaptive_stamp = now
         return self._adaptive_target
 
-    def _merge(self, state: _Worker, key: tuple[str, int] | None = None, waited: float = 0.0) -> None:
+    def _merge(
+        self, state: _Worker, key: tuple[str, int] | None = None, waited: float = 0.0
+    ) -> None:
         """Fold a worker's frame-local leaf items and queue wait into the run."""
         kernel = self.kernel
         with kernel.lock:
@@ -455,7 +466,7 @@ class ElasticPool:
         while not self.retire.is_set():
             # Head pop paired with push's tail push: true FIFO, so the
             # oldest queued frame is always the next one claimed.
-            task = self.broker.blpop(self.ns + _TASKS, timeout=STOP_POLL)
+            task = self.broker.blpop(_TASKS, timeout=STOP_POLL)
             if task is None:
                 with self.workers_lock:
                     me = threading.current_thread()
@@ -470,7 +481,7 @@ class ElasticPool:
             except Exception as exc:
                 self.kernel.fail(f"task {task[0]}[{task[1]}]: {type(exc).__name__}: {exc}")
             finally:
-                self.broker.decr(self.ns + _PENDING)
+                self.broker.decr(_PENDING)
 
     def _spawn_worker(self) -> None:
         thread = threading.Thread(
@@ -483,7 +494,7 @@ class ElasticPool:
 
     def _autoscaler_loop(self) -> None:
         while not self.retire.is_set():
-            depth = self.broker.llen(self.ns + _TASKS)
+            depth = self.broker.llen(_TASKS)
             spawn = False
             # target_workers is read by _worker_loop under workers_lock
             # for its scale-down decision, so every write happens under
@@ -503,7 +514,7 @@ class ElasticPool:
             self.retire.wait(_SCALE_INTERVAL)
 
     def _in_flight(self, timeout: float) -> int:
-        if self.broker.wait_for_zero(self.ns + _PENDING, timeout=timeout):
+        if self.broker.wait_for_zero(_PENDING, timeout=timeout):
             return 0
         return self.pending()
 
@@ -521,8 +532,8 @@ class ElasticPool:
             workers = list(self.workers)
         if workers:
             # Sentinels are not counted in flight; any left undrained go
-            # with the run namespace.
-            self.broker.rpush(self.ns + _TASKS, *([_STOP_FRAME] * len(workers)))
+            # with the pool's broker.
+            self.broker.rpush(_TASKS, *([_STOP_FRAME] * len(workers)))
         for thread in workers:
             thread.join(timeout=_JOIN_TIMEOUT)
         stuck += [thread for thread in workers if thread.is_alive()]
@@ -535,7 +546,7 @@ class ElasticPool:
                     component="dynamic",
                     leaked_threads=len(stuck),
                     join_timeout=_JOIN_TIMEOUT,
-                    queue=self.ns + _TASKS,
+                    queue=_TASKS,
                 )
             )
 

@@ -24,7 +24,6 @@ from typing import Any
 
 from repro.d4py.mappings.base import RunResult
 from repro.d4py.mappings.dynamic import ElasticPool
-from repro.d4py.redisim import RedisSim
 from repro.d4py.workflow import WorkflowGraph
 
 __all__ = ["StreamSession"]
@@ -40,7 +39,6 @@ class StreamSession:
         max_workers: int = 4,
         instances_per_pe: int = 4,
         autoscale: bool = True,
-        broker: RedisSim | None = None,
         batch_max_items: int | str | None = None,
         fuse: bool = True,
     ) -> None:
@@ -48,7 +46,6 @@ class StreamSession:
         pool, batching and fusion settings."""
         self._pool = ElasticPool(
             graph,
-            broker=broker,
             min_workers=min_workers,
             max_workers=max_workers,
             instances_per_pe=instances_per_pe,

@@ -1,15 +1,18 @@
 """An in-memory, Redis-like broker for the dynamic mapping.
 
 dispel4py's dynamic workload allocation (Liang et al., 2022) uses a Redis
-server as a shared work queue decoupling producers from an elastic pool of
+server as a work queue decoupling producers from an elastic pool of
 workers.  A real Redis server is not available offline, so this module
-provides :class:`RedisSim`: a thread-safe, in-process data store exposing
-the subset of the Redis command surface the dynamic mapping needs —
-blocking list pops, hashes, counters and plain keys.
+provides :class:`RedisSim`: a thread-safe, in-process store exposing the
+subset of the Redis command surface the dynamic mapping's pool calls — a
+list (``rpush``/``blpop``/``llen``) and counters (``incr``/``decr``/``get``
+plus ``wait_for_zero``).
 
-The substitution preserves the behaviour that matters for the paper's
-claims: a shared FIFO of tasks that any worker can claim, with blocking
-consumption and atomic counters for in-flight accounting.
+Each dynamic run owns one broker for its lifetime, so keys need no
+namespace and nothing is left to clean up when the run ends.  The
+substitution preserves the behaviour that matters for the paper's claims:
+a FIFO of tasks that any worker can claim, with blocking consumption and
+atomic counters for in-flight accounting.
 """
 
 from __future__ import annotations
@@ -21,147 +24,60 @@ from typing import Any
 
 
 class RedisSim:
-    """Thread-safe in-memory key/list/hash store with blocking pops."""
+    """Thread-safe in-memory list/counter store with a blocking head pop.
+
+    Every wake-up goes through the one ``_lock`` condition: each mutation
+    notifies it and each blocked call re-checks its predicate when woken
+    or at its timeout.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Condition()
         self._lists: dict[str, deque] = defaultdict(deque)
-        self._hashes: dict[str, dict] = defaultdict(dict)
-        self._kv: dict[str, Any] = {}
-        # Consumers currently parked inside brpop()/wait_for_zero() —
-        # exposed as a gauge via bind_metrics() so dashboards can tell a
-        # starved pool (many blocked consumers) from a saturated one.
-        self._blocked = 0
+        self._kv: dict[str, int] = {}
 
-    @property
-    def blocked_consumers(self) -> int:
-        """How many threads are currently blocked in ``brpop``/``wait_for_zero``."""
-        with self._lock:
-            return self._blocked
-
-    # -- lists ---------------------------------------------------------------
-
-    def lpush(self, key: str, *values: Any) -> int:
-        """Prepend values; returns the new list length."""
-        with self._lock:
-            for v in values:
-                self._lists[key].appendleft(v)
-            self._lock.notify_all()
-            return len(self._lists[key])
+    # -- the task list -------------------------------------------------------
 
     def rpush(self, key: str, *values: Any) -> int:
         """Append values; returns the new list length."""
         with self._lock:
-            for v in values:
-                self._lists[key].append(v)
+            lst = self._lists[key]
+            lst.extend(values)
             self._lock.notify_all()
-            return len(self._lists[key])
+            return len(lst)
 
-    def _drop_if_empty(self, key: str) -> None:
-        """Remove a fully drained list so the key table does not grow forever.
+    def blpop(self, key: str, timeout: float | None = None) -> Any | None:
+        """Blocking head pop: wait up to ``timeout`` seconds for an item
+        (``None`` on timeout).
 
-        ``_lists`` is a ``defaultdict``: every key ever popped would
-        otherwise survive as an empty deque, so per-run namespaces on a
-        shared broker would accumulate ghosts and ``stats()["lists"]``
-        would count queues that no longer exist.  Callers hold ``_lock``.
+        Paired with :meth:`rpush` this gives true FIFO consumption, so the
+        oldest queued task is always the next one claimed.
         """
-        lst = self._lists.get(key)
-        if lst is not None and not lst:
-            del self._lists[key]
-
-    def rpop(self, key: str) -> Any | None:
-        """Non-blocking pop from the tail; ``None`` if empty."""
-        with self._lock:
-            lst = self._lists.get(key)
-            value = lst.pop() if lst else None
-            self._drop_if_empty(key)
-            return value
-
-    def lpop(self, key: str) -> Any | None:
-        """Non-blocking pop from the head; ``None`` if empty."""
-        with self._lock:
-            lst = self._lists.get(key)
-            value = lst.popleft() if lst else None
-            self._drop_if_empty(key)
-            return value
-
-    def _bpop(
-        self, key: str, timeout: float | None, from_head: bool
-    ) -> Any | None:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
                 lst = self._lists.get(key)
                 if lst:
-                    value = lst.popleft() if from_head else lst.pop()
-                    self._drop_if_empty(key)
-                    return value
+                    return lst.popleft()
                 if deadline is None:
-                    self._blocked += 1
-                    try:
-                        self._lock.wait()
-                    finally:
-                        self._blocked -= 1
+                    self._lock.wait()
                 else:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return None
-                    self._blocked += 1
-                    try:
-                        self._lock.wait(remaining)
-                    finally:
-                        self._blocked -= 1
-
-    def brpop(self, key: str, timeout: float | None = None) -> Any | None:
-        """Blocking tail pop: wait up to ``timeout`` seconds for an item."""
-        return self._bpop(key, timeout, from_head=False)
-
-    def blpop(self, key: str, timeout: float | None = None) -> Any | None:
-        """Blocking head pop: wait up to ``timeout`` seconds for an item.
-
-        Paired with :meth:`rpush` this gives true FIFO consumption — the
-        combination the dynamic mapping uses for its task queue, so the
-        oldest queued task is always the next one claimed.
-        """
-        return self._bpop(key, timeout, from_head=True)
+                    self._lock.wait(remaining)
 
     def llen(self, key: str) -> int:
         """Current length of list ``key`` (0 when absent)."""
         with self._lock:
             return len(self._lists.get(key, ()))
 
-    # -- hashes ----------------------------------------------------------------
-
-    def hset(self, key: str, field: str, value: Any) -> None:
-        """Set one field of hash ``key``."""
-        with self._lock:
-            self._hashes[key][field] = value
-
-    def hget(self, key: str, field: str) -> Any | None:
-        """Read one field of hash ``key`` (``None`` when absent)."""
-        with self._lock:
-            return self._hashes.get(key, {}).get(field)
-
-    def hgetall(self, key: str) -> dict:
-        """Copy of hash ``key`` as a plain dict."""
-        with self._lock:
-            return dict(self._hashes.get(key, {}))
-
-    def hsetnx(self, key: str, field: str, value: Any) -> bool:
-        """Set a hash field only if absent; returns True if it was set."""
-        with self._lock:
-            h = self._hashes[key]
-            if field in h:
-                return False
-            h[field] = value
-            return True
-
-    # -- counters and keys -------------------------------------------------------
+    # -- counters ------------------------------------------------------------
 
     def incr(self, key: str, amount: int = 1) -> int:
         """Atomically add ``amount``; returns the new value."""
         with self._lock:
-            value = int(self._kv.get(key, 0)) + amount
+            value = self._kv.get(key, 0) + amount
             self._kv[key] = value
             self._lock.notify_all()
             return value
@@ -170,50 +86,10 @@ class RedisSim:
         """Atomically subtract ``amount``; returns the new value."""
         return self.incr(key, -amount)
 
-    def get(self, key: str) -> Any | None:
-        """Read a plain key (``None`` when absent)."""
+    def get(self, key: str) -> int | None:
+        """Read a counter (``None`` when absent)."""
         with self._lock:
             return self._kv.get(key)
-
-    def set(self, key: str, value: Any) -> None:
-        """Write a plain key and wake any counter-waiters."""
-        with self._lock:
-            self._kv[key] = value
-            self._lock.notify_all()
-
-    def delete(self, *keys: str) -> int:
-        """Delete keys from every namespace; returns how many existed."""
-        with self._lock:
-            n = 0
-            for key in keys:
-                for ns in (self._kv, self._lists, self._hashes):
-                    if key in ns:
-                        del ns[key]
-                        n += 1
-            if n:
-                # A deleted counter reads as 0: wake wait_for_zero()
-                # waiters so they re-check instead of sleeping out their
-                # full timeout on a key that no longer exists.
-                self._lock.notify_all()
-            return n
-
-    def delete_prefix(self, prefix: str) -> int:
-        """Delete every key starting with ``prefix`` across all namespaces.
-
-        Used by the dynamic mapping to drop its per-run ``d4pyrun:<id>:``
-        namespace when an enactment finishes, so long-lived shared brokers
-        do not accumulate counters from completed runs.
-        """
-        with self._lock:
-            n = 0
-            for ns in (self._kv, self._lists, self._hashes):
-                stale = [k for k in ns if k.startswith(prefix)]
-                for key in stale:
-                    del ns[key]
-                n += len(stale)
-            if n:
-                self._lock.notify_all()
-            return n
 
     def wait_for_zero(self, key: str, timeout: float | None = None) -> bool:
         """Block until counter ``key`` reaches zero (or below).
@@ -223,230 +99,12 @@ class RedisSim:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while int(self._kv.get(key, 0)) > 0:
-                self._blocked += 1
-                try:
-                    if deadline is None:
-                        self._lock.wait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            return False
-                        self._lock.wait(remaining)
-                finally:
-                    self._blocked -= 1
+            while self._kv.get(key, 0) > 0:
+                if deadline is None:
+                    self._lock.wait()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    self._lock.wait(remaining)
             return True
-
-    def flushall(self) -> None:
-        """Drop every key in every namespace."""
-        with self._lock:
-            self._lists.clear()
-            self._hashes.clear()
-            self._kv.clear()
-            self._lock.notify_all()
-
-    # -- observability -----------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Point-in-time broker statistics (keys, queued items, consumers)."""
-        with self._lock:
-            return {
-                "lists": len(self._lists),
-                "queued_items": sum(len(lst) for lst in self._lists.values()),
-                "hashes": len(self._hashes),
-                "keys": len(self._kv),
-                "blocked_consumers": self._blocked,
-            }
-
-    def stats_prefix(self, prefix: str) -> dict:
-        """Statistics restricted to keys under ``prefix`` (one partition).
-
-        ``blocked_consumers`` is omitted: blocking is accounted globally
-        here and per-partition by :class:`NamespacedRedisSim`.
-        """
-        with self._lock:
-            lists = [v for k, v in self._lists.items() if k.startswith(prefix)]
-            return {
-                "lists": len(lists),
-                "queued_items": sum(len(lst) for lst in lists),
-                "hashes": sum(1 for k in self._hashes if k.startswith(prefix)),
-                "keys": sum(1 for k in self._kv if k.startswith(prefix)),
-            }
-
-    def namespaced(self, prefix: str) -> "NamespacedRedisSim":
-        """A view of this broker confined to keys under ``prefix``.
-
-        Cluster mode gives each server shard its own partition of one
-        shared broker (``shard:<id>:``): shards cannot observe or drain
-        each other's queues, yet the underlying store — and its single
-        condition variable — stays one object.
-        """
-        return NamespacedRedisSim(self, prefix)
-
-    def bind_metrics(self, registry) -> None:
-        """Register live callback gauges for this broker on ``registry``.
-
-        The gauges read broker state at scrape time, so binding costs
-        nothing on the hot path.  Re-binding (e.g. one broker shared by
-        several enactments) just overwrites the callbacks — idempotent.
-        """
-        registry.gauge(
-            "laminar_broker_queued_items",
-            "Items across every list of the simulated Redis broker.",
-        ).set_function(lambda: self.stats()["queued_items"])
-        registry.gauge(
-            "laminar_broker_blocked_consumers",
-            "Consumers blocked in brpop/wait_for_zero on the broker.",
-        ).set_function(lambda: self.blocked_consumers)
-
-
-class NamespacedRedisSim:
-    """A per-shard partition of a shared :class:`RedisSim`.
-
-    Every key is transparently prefixed, so the wrapper exposes the full
-    broker surface while operations can only ever touch its own
-    namespace — :meth:`flushall` drops *this partition*, not the parent.
-    The dynamic mapping composes its own ``d4pyrun:<id>:`` run namespace
-    on top, so keys end up ``shard:<id>:d4pyrun:<run>:...`` and per-run
-    cleanup (:meth:`delete_prefix`) still works unchanged.
-    """
-
-    def __init__(self, parent: RedisSim, prefix: str) -> None:
-        if not prefix:
-            raise ValueError("namespace prefix must be non-empty")
-        self.parent = parent
-        self.prefix = prefix
-        self._blocked = 0
-        self._blocked_lock = threading.Lock()
-
-    def _k(self, key: str) -> str:
-        return self.prefix + key
-
-    @property
-    def blocked_consumers(self) -> int:
-        """Threads blocked in this partition's ``brpop``/``wait_for_zero``."""
-        with self._blocked_lock:
-            return self._blocked
-
-    def _enter_blocked(self) -> None:
-        with self._blocked_lock:
-            self._blocked += 1
-
-    def _exit_blocked(self) -> None:
-        with self._blocked_lock:
-            self._blocked -= 1
-
-    # -- lists ---------------------------------------------------------------
-
-    def lpush(self, key: str, *values: Any) -> int:
-        return self.parent.lpush(self._k(key), *values)
-
-    def rpush(self, key: str, *values: Any) -> int:
-        return self.parent.rpush(self._k(key), *values)
-
-    def rpop(self, key: str) -> Any | None:
-        return self.parent.rpop(self._k(key))
-
-    def lpop(self, key: str) -> Any | None:
-        return self.parent.lpop(self._k(key))
-
-    def brpop(self, key: str, timeout: float | None = None) -> Any | None:
-        self._enter_blocked()
-        try:
-            return self.parent.brpop(self._k(key), timeout)
-        finally:
-            self._exit_blocked()
-
-    def blpop(self, key: str, timeout: float | None = None) -> Any | None:
-        self._enter_blocked()
-        try:
-            return self.parent.blpop(self._k(key), timeout)
-        finally:
-            self._exit_blocked()
-
-    def llen(self, key: str) -> int:
-        return self.parent.llen(self._k(key))
-
-    # -- hashes ----------------------------------------------------------------
-
-    def hset(self, key: str, field: str, value: Any) -> None:
-        self.parent.hset(self._k(key), field, value)
-
-    def hget(self, key: str, field: str) -> Any | None:
-        return self.parent.hget(self._k(key), field)
-
-    def hgetall(self, key: str) -> dict:
-        return self.parent.hgetall(self._k(key))
-
-    def hsetnx(self, key: str, field: str, value: Any) -> bool:
-        return self.parent.hsetnx(self._k(key), field, value)
-
-    # -- counters and keys -------------------------------------------------------
-
-    def incr(self, key: str, amount: int = 1) -> int:
-        return self.parent.incr(self._k(key), amount)
-
-    def decr(self, key: str, amount: int = 1) -> int:
-        return self.parent.decr(self._k(key), amount)
-
-    def get(self, key: str) -> Any | None:
-        return self.parent.get(self._k(key))
-
-    def set(self, key: str, value: Any) -> None:
-        self.parent.set(self._k(key), value)
-
-    def delete(self, *keys: str) -> int:
-        return self.parent.delete(*(self._k(k) for k in keys))
-
-    def delete_prefix(self, prefix: str) -> int:
-        return self.parent.delete_prefix(self._k(prefix))
-
-    def wait_for_zero(self, key: str, timeout: float | None = None) -> bool:
-        self._enter_blocked()
-        try:
-            return self.parent.wait_for_zero(self._k(key), timeout)
-        finally:
-            self._exit_blocked()
-
-    def flushall(self) -> None:
-        """Drop every key of *this partition* (the parent is untouched)."""
-        self.parent.delete_prefix(self.prefix)
-
-    def namespaced(self, prefix: str) -> "NamespacedRedisSim":
-        """A nested partition — prefixes compose onto the shared parent,
-        so ``shard:s0:`` + ``d4pyrun:1:`` scopes to
-        ``shard:s0:d4pyrun:1:...`` keys."""
-        return NamespacedRedisSim(self.parent, self._k(prefix))
-
-    # -- observability -----------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Partition-scoped statistics (same shape as :meth:`RedisSim.stats`)."""
-        stats = self.parent.stats_prefix(self.prefix)
-        stats["blocked_consumers"] = self.blocked_consumers
-        return stats
-
-    def bind_metrics(self, registry) -> None:
-        """Register partition-scoped broker gauges (same names as the
-        parent's — each shard has its own metrics registry)."""
-        registry.gauge(
-            "laminar_broker_queued_items",
-            "Items across every list of the simulated Redis broker.",
-        ).set_function(lambda: self.stats()["queued_items"])
-        registry.gauge(
-            "laminar_broker_blocked_consumers",
-            "Consumers blocked in brpop/wait_for_zero on the broker.",
-        ).set_function(lambda: self.blocked_consumers)
-
-
-_default_broker: RedisSim | None = None
-_default_broker_lock = threading.Lock()
-
-
-def default_broker() -> RedisSim:
-    """Process-wide shared broker instance (lazily created)."""
-    global _default_broker
-    with _default_broker_lock:
-        if _default_broker is None:
-            _default_broker = RedisSim()
-        return _default_broker

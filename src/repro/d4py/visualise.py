@@ -8,7 +8,7 @@ command), annotating edges with their ports and grouping policies.
 
 from __future__ import annotations
 
-from repro.d4py.core import CompositePE, GenericPE
+from repro.d4py.core import CompositePE
 from repro.d4py.grouping import Grouping
 from repro.d4py.workflow import WorkflowGraph
 

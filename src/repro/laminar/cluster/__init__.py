@@ -11,8 +11,9 @@ The pieces, bottom-up:
   placement key → owner shards; used by clients to route and by servers
   to reject misdirected keyed requests with 421.
 * :class:`~repro.laminar.cluster.supervisor.ClusterSupervisor` — boots
-  N servers (own registry db, own partition of one shared broker),
-  health-checks them, and supports kill/restart for failover drills.
+  N servers (own registry db and semantic indexes; a dynamic run on a
+  shard brings its own work-queue broker), health-checks them, and
+  supports kill/restart for failover drills.
 * :class:`~repro.laminar.cluster.client.ShardedClient` — the
   :class:`~repro.laminar.client.client.LaminarClient` verb surface over
   the whole cluster: keyed routing, replica failover, scatter-gather

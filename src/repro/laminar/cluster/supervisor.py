@@ -4,11 +4,8 @@ The supervisor owns N :class:`~repro.laminar.server.app.LaminarServer`
 instances, each served over its own TCP transport, with
 
 * its own registry database (``shard-<id>.db`` under ``db_dir``, or
-  in-memory),
-* its own semantic-index directory (under ``index_dir``), and
-* its own partition of one shared :class:`~repro.d4py.redisim.RedisSim`
-  broker (``shard:<id>:`` namespace — see
-  :meth:`~repro.d4py.redisim.RedisSim.namespaced`),
+  in-memory), and
+* its own semantic-index directory (under ``index_dir``),
 
 and publishes the resulting :class:`ClusterConfig` for shard-aware
 clients.  A background loop health-checks every shard and keeps the
@@ -26,7 +23,6 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.d4py.redisim import RedisSim
 from repro.laminar.cluster.config import ClusterConfig, ShardInfo
 from repro.laminar.cluster.router import ShardRouter
 from repro.obs import MetricsRegistry
@@ -104,7 +100,6 @@ class ClusterSupervisor:
         self._health_interval = float(health_interval)
         self._heartbeat_interval = float(heartbeat_interval)
         self._server_options = dict(server_options)
-        self.broker = RedisSim()  # one shared store, partitioned per shard
         self.handles: dict[str, ShardHandle] = {
             f"s{i}": ShardHandle(ShardInfo(shard_id=f"s{i}", host=host))
             for i in range(shards)
@@ -159,7 +154,6 @@ class ClusterSupervisor:
             index_dir=index_dir,
             shard_id=shard_id,
             cluster_config=self.config,
-            broker=self.broker.namespaced(f"shard:{shard_id}:"),
             **self._server_options,
         )
         try:
@@ -283,7 +277,6 @@ class ClusterSupervisor:
             "total": len(self.handles),
             "vnodes": self.config.vnodes,
             "replication": self.config.replication,
-            "broker": self.broker.stats(),
         }
 
     def __enter__(self) -> "ClusterSupervisor":

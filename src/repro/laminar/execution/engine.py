@@ -135,18 +135,15 @@ class ExecutionEngine:
         resource_cache: ResourceCache | None = None,
         registry=None,
         tracer=None,
-        broker=None,
     ) -> None:
         """``registry``/``tracer`` are the observability sinks every run
         records into — a server passes its own; standalone engines fall
-        back to the process defaults (see :mod:`repro.obs.runtime`).
-        ``broker`` is the default work-queue backend for dynamic-mapping
-        runs — cluster shards pass their partition of the shared
-        :class:`~repro.d4py.redisim.RedisSim` here."""
+        back to the process defaults (see :mod:`repro.obs.runtime`).  A
+        dynamic-mapping run brings its own work-queue broker, so the
+        engine holds none."""
         self.cache = resource_cache or ResourceCache()
         self.registry = registry
         self.tracer = tracer
-        self.broker = broker
         self._compiled = functools.lru_cache(maxsize=CODE_CACHE_SIZE)(self._compile)
 
     @staticmethod
@@ -216,8 +213,6 @@ class ExecutionEngine:
                 exec(self._compiled(code, frozenset(namespace)), namespace)
                 graph = self._find_graph(namespace, graph_name)
                 options.setdefault("registry", self.registry)
-                if self.broker is not None and mapping == "dynamic":
-                    options.setdefault("broker", self.broker)
                 result = run_graph(
                     graph, input=input, mapping=mapping, verbose=verbose, stop=stop,
                     **options,

@@ -203,7 +203,6 @@ class LaminarServer:
         index_dir: str | None = None,
         shard_id: str | None = None,
         cluster_config=None,
-        broker=None,
         require_auth: bool = False,
         quotas=None,
     ) -> None:
@@ -251,9 +250,7 @@ class LaminarServer:
         self.obs_registry = MetricsRegistry()
         self.tracer = Tracer()
         self.registry.bind_metrics(self.obs_registry)
-        self.engine = ExecutionEngine(
-            registry=self.obs_registry, tracer=self.tracer, broker=broker
-        )
+        self.engine = ExecutionEngine(registry=self.obs_registry, tracer=self.tracer)
         self.execution = ExecutionService(
             self.registry, self.executions, self.responses, self.engine
         )

@@ -246,7 +246,7 @@ class Router:
 
     def _get_metrics(self, user, p):
         # Raw exposition of the server's whole registry — requests, jobs,
-        # mapping runs, broker gauges — in Prometheus text format
+        # mapping runs, dynamic-pool gauges — in Prometheus text format
         # (default) or as the JSON snapshot dump.
         registry = self.server.obs_registry
         if p["format"] == "json":

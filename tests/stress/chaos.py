@@ -6,8 +6,8 @@ depends on:
 * :class:`FaultyRedisSim` — a :class:`~repro.d4py.redisim.RedisSim`
   whose operations can be slowed down (simulated broker latency) and
   whose condition-variable wake-ups can be selectively dropped
-  (simulated lost notifies — the class of bug behind the
-  ``delete``/``wait_for_zero`` hang).
+  (simulated lost notifies, which a blocked call survives only through
+  its timeout re-check).
 * :class:`ChaosProxy` — a socket-level TCP proxy between a
   ``TcpClientTransport`` and the real server that can cut the
   server→client byte stream mid-frame, dribble it out in tiny partial
@@ -71,17 +71,9 @@ class FaultyRedisSim(RedisSim):
 
     # -- delayed operations (simulated broker round-trip latency) -------------
 
-    def lpush(self, key, *values):
-        self._delay()
-        return super().lpush(key, *values)
-
     def rpush(self, key, *values):
         self._delay()
         return super().rpush(key, *values)
-
-    def brpop(self, key, timeout=None):
-        self._delay()
-        return super().brpop(key, timeout)
 
     def blpop(self, key, timeout=None):
         self._delay()
@@ -90,14 +82,6 @@ class FaultyRedisSim(RedisSim):
     def incr(self, key, amount=1):
         self._delay()
         return super().incr(key, amount)
-
-    def set(self, key, value):
-        self._delay()
-        return super().set(key, value)
-
-    def delete(self, *keys):
-        self._delay()
-        return super().delete(*keys)
 
 
 class ChaosProxy:

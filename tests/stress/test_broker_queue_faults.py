@@ -1,10 +1,10 @@
 """Stress and regression tests for the broker and job-queue primitives.
 
 Covers the wake-up and accounting bugs that only surface under
-concurrency: ``RedisSim.delete`` losing ``wait_for_zero`` waiters,
-``JobQueue.discard`` corrupting depth accounting for terminal jobs, the
-dynamic autoscaler writing ``target_workers`` outside ``workers_lock``,
-plus interleaving soaks driven by :class:`FaultyRedisSim`.
+concurrency: a lost ``wait_for_zero`` wake-up, ``JobQueue.discard``
+corrupting depth accounting for terminal jobs, the dynamic autoscaler
+writing ``target_workers`` outside ``workers_lock``, plus interleaving
+soaks driven by :class:`FaultyRedisSim`.
 """
 
 import threading
@@ -13,8 +13,8 @@ import time
 import pytest
 
 from repro.d4py.core import ProducerPE
+from repro.d4py.mappings import dynamic
 from repro.d4py.mappings.dynamic import ElasticPool, run_dynamic
-from repro.d4py.redisim import RedisSim
 from repro.d4py.workflow import WorkflowGraph
 from repro.laminar.jobs.model import Job, JobSpec, JobState
 from repro.laminar.jobs.queue import JobQueue
@@ -25,87 +25,13 @@ def _job(job_id: int, priority: int = 0) -> Job:
     return Job(job_id, JobSpec(workflow_code="pass", priority=priority))
 
 
-# -- RedisSim.delete() must wake wait_for_zero() waiters ----------------------
-
-
-def test_delete_wakes_wait_for_zero_promptly():
-    """Regression: a waiter parked on a counter that gets deleted must wake
-    immediately (deleted key reads as 0), not sleep out its full timeout."""
-    sim = RedisSim()
-    sim.incr("pending", 2)
-    results: list[bool] = []
-    waiter = threading.Thread(
-        target=lambda: results.append(sim.wait_for_zero("pending", timeout=10.0)),
-        daemon=True,
-    )
-    waiter.start()
-    time.sleep(0.1)  # let the waiter park
-    started = time.monotonic()
-    assert sim.delete("pending") == 1
-    waiter.join(timeout=2.0)
-    assert not waiter.is_alive(), "wait_for_zero slept through the delete"
-    assert results == [True]
-    assert time.monotonic() - started < 1.0
-
-
-def test_flushall_wakes_wait_for_zero():
-    sim = RedisSim()
-    sim.incr("pending")
-    results: list[bool] = []
-    waiter = threading.Thread(
-        target=lambda: results.append(sim.wait_for_zero("pending", timeout=10.0)),
-        daemon=True,
-    )
-    waiter.start()
-    time.sleep(0.05)
-    sim.flushall()
-    waiter.join(timeout=2.0)
-    assert not waiter.is_alive()
-    assert results == [True]
-
-
-def test_brpop_wakes_after_flushall_then_push():
-    """A brpop blocked across a flushall must still claim the next push."""
-    sim = RedisSim()
-    got: list = []
-    consumer = threading.Thread(
-        target=lambda: got.append(sim.brpop("q", timeout=5.0)), daemon=True
-    )
-    consumer.start()
-    time.sleep(0.05)
-    sim.flushall()  # wakes the consumer; list still empty, so it re-parks
-    time.sleep(0.05)
-    sim.rpush("q", "item")
-    consumer.join(timeout=2.0)
-    assert not consumer.is_alive()
-    assert got == ["item"]
-
-
-def test_brpop_wakes_after_delete_then_push():
-    sim = RedisSim()
-    sim.rpush("q", "stale")
-    assert sim.brpop("q") == "stale"
-    got: list = []
-    consumer = threading.Thread(
-        target=lambda: got.append(sim.brpop("q", timeout=5.0)), daemon=True
-    )
-    consumer.start()
-    time.sleep(0.05)
-    sim.delete("q")  # deleting the empty key must not strand the waiter
-    time.sleep(0.05)
-    sim.rpush("q", "fresh")
-    consumer.join(timeout=2.0)
-    assert not consumer.is_alive()
-    assert got == ["fresh"]
-
-
 # -- FaultyRedisSim: the harness itself ---------------------------------------
 
 
 def test_dropped_notify_delays_wake_until_timeout_recheck():
     """With the wake-up swallowed, the waiter only notices the counter hit
-    zero at its timeout re-check — exactly the bug class the delete fix
-    removes.  Documents why every mutation must notify."""
+    zero at its timeout re-check.  Documents why every mutation must
+    notify."""
     sim = FaultyRedisSim()
     sim.incr("pending")
     sim.drop_next_notifies(1)
@@ -125,7 +51,7 @@ def test_dropped_notify_delays_wake_until_timeout_recheck():
     assert elapsed >= 0.5, "waiter woke early despite the dropped notify?"
 
 
-def test_dynamic_run_completes_on_slow_faulty_broker():
+def test_dynamic_run_completes_on_slow_faulty_broker(monkeypatch):
     """Injected broker latency slows the run but must not wedge it."""
 
     class Ticker(ProducerPE):
@@ -134,9 +60,16 @@ def test_dynamic_run_completes_on_slow_faulty_broker():
 
     graph = WorkflowGraph()
     graph.add(Ticker("Ticker"))
-    sim = FaultyRedisSim(op_delay=0.002)
-    result = run_dynamic(graph, input=5, broker=sim, max_workers=3)
+    brokers: list[FaultyRedisSim] = []
+
+    def slow_broker():
+        brokers.append(FaultyRedisSim(op_delay=0.002))
+        return brokers[-1]
+
+    monkeypatch.setattr(dynamic, "RedisSim", slow_broker)
+    result = run_dynamic(graph, input=5, max_workers=3)
     assert result.iterations["Ticker0"] == 5
+    assert len(brokers) == 1  # the run went through the faulty broker
 
 
 # -- JobQueue.discard() terminal-state accounting -----------------------------
@@ -303,7 +236,7 @@ def test_autoscaler_writes_target_workers_under_workers_lock():
     ``target_workers`` must happen while ``workers_lock`` is held, because
     ``_worker_loop`` reads it under that lock for scale-down decisions."""
     engine = ElasticPool(
-        _tiny_graph(), RedisSim(), instances_per_pe=1,
+        _tiny_graph(), instances_per_pe=1,
         min_workers=1, max_workers=4, autoscale=True,
     )
     tracking = TrackingLock()
@@ -333,11 +266,12 @@ def test_autoscaler_writes_target_workers_under_workers_lock():
     # Deep queue → exercises the scale-up write; then drained queue with a
     # grown pool → exercises the scale-down write.
     for i in range(12):
-        engine.broker.rpush(engine.ns + "tasks", i)
+        engine.broker.rpush("tasks", i)
     scaler = threading.Thread(target=engine._autoscaler_loop, daemon=True)
     scaler.start()
     time.sleep(0.2)
-    engine.broker.delete(engine.ns + "tasks")
+    while engine.broker.blpop("tasks", timeout=0) is not None:
+        pass
     time.sleep(0.2)
     engine.retire.set()
     scaler.join(timeout=2.0)

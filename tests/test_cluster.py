@@ -1,8 +1,8 @@
-"""Cluster mode: hash ring, routing, broker partitioning, failover.
+"""Cluster mode: hash ring, routing, failover.
 
 Covers the consistent-hash ring's core guarantees (balance,
 determinism, minimal movement), the action→key→shard routing
-convention, per-shard broker namespacing, the server-side 421
+convention, the server-side 421
 misdirection gate, and — through a real 3-shard TCP cluster — the
 sharded client's keyed routing, scatter-gather merges, job execution
 and shard-kill failover.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.d4py.redisim import RedisSim
 from repro.laminar.actions import ACTIONS, CLUSTER_POLICIES
 from repro.laminar.client.client import ClientError, LaminarClient
 from repro.laminar.cluster import (
@@ -211,55 +210,6 @@ class TestClusterConfig:
         path.write_text("not json")
         with pytest.raises(ValueError):
             ClusterConfig.load(path)
-
-
-# -- broker partitioning ------------------------------------------------------
-
-
-class TestNamespacedBroker:
-    def test_namespaces_are_isolated(self):
-        parent = RedisSim()
-        a = parent.namespaced("shard:s0:")
-        b = parent.namespaced("shard:s1:")
-        a.rpush("queue", "x")
-        a.rpush("queue", "y")
-        b.rpush("queue", "z")
-        assert a.llen("queue") == 2
-        assert b.llen("queue") == 1
-        assert b.lpop("queue") == "z"
-        assert a.lpop("queue") == "x"
-
-    def test_flushall_scoped_to_namespace(self):
-        parent = RedisSim()
-        a = parent.namespaced("shard:s0:")
-        b = parent.namespaced("shard:s1:")
-        a.rpush("q", 1)
-        b.rpush("q", 2)
-        a.flushall()
-        assert a.llen("q") == 0
-        assert b.llen("q") == 1
-
-    def test_stats_scoped_to_namespace(self):
-        parent = RedisSim()
-        a = parent.namespaced("shard:s0:")
-        parent.namespaced("shard:s1:").rpush("q", 1)
-        a.rpush("q", 1)
-        a.rpush("q", 2)
-        assert a.stats()["queued_items"] == 2
-        assert parent.stats()["queued_items"] == 3
-
-    def test_composes_with_inner_namespace(self):
-        # dynamic-mapping runs prefix their own d4pyrun:<run>: namespace
-        # inside the shard partition; both layers must compose.
-        parent = RedisSim()
-        shard = parent.namespaced("shard:s0:")
-        run = shard.namespaced("d4pyrun:1:")
-        run.rpush("tasks", "t")
-        assert run.llen("tasks") == 1
-        assert shard.stats()["queued_items"] == 1
-        assert parent.stats()["lists"] == 1
-        # the composed key carries both prefixes
-        assert parent.llen("shard:s0:d4pyrun:1:tasks") == 1
 
 
 # -- live cluster -------------------------------------------------------------
@@ -463,7 +413,7 @@ class TestClusterFailover:
 
 
 class TestShardedDynamicMapping:
-    def test_dynamic_jobs_use_shard_broker_partition(self):
+    def test_dynamic_jobs_run_on_their_shard(self):
         sup = ClusterSupervisor(shards=2, replication=1, health_interval=0.0)
         config = sup.start()
         client = ShardedClient(config)
@@ -475,12 +425,11 @@ class TestShardedDynamicMapping:
             result = client.wait_For_Job(job["jobId"], timeout=30)
             assert result["state"] == "SUCCEEDED"
             assert result["result"]["outputs"] == {"A.output": [11]}
-            # every shard's engine enacts dynamic runs inside its own
-            # partition of the shared broker
+            # the shard that took the job ran it, and no pool outlived it
             shard = split_job_id(job["jobId"])[0]
-            engine_broker = sup.handles[shard].server.engine.broker
-            assert engine_broker.prefix == f"shard:{shard}:"
-            assert engine_broker.parent is sup.broker
+            text = sup.handles[shard].server.obs_registry.render_text()
+            assert 'laminar_runs_total{mapping="dynamic",status="success"} 1' in text
+            assert "laminar_dynamic_workers 0" in text
         finally:
             client.close()
             sup.stop()

@@ -1,12 +1,17 @@
 """Tests for the dynamic (work-queue, autoscaling) mapping."""
 
+import gc
+import itertools
 import statistics
+import threading
 import time
+import weakref
 
 import pytest
 
 from repro.d4py import WorkflowGraph, run_graph
-from repro.d4py.redisim import RedisSim
+from repro.d4py.mappings.dynamic import ElasticPool
+from repro.obs import MetricsRegistry
 
 from tests.helpers import (
     AddOne,
@@ -82,16 +87,6 @@ def test_dynamic_task_error_propagates():
         run_graph(graph, input=3, mapping="dynamic")
 
 
-def test_dynamic_shared_broker_runs_are_isolated():
-    broker = RedisSim()
-    graph1 = pipeline(RangeProducer("src"), Double("dbl"))
-    graph2 = pipeline(RangeProducer("src"), Double("dbl"))
-    r1 = run_graph(graph1, input=5, mapping="dynamic", broker=broker)
-    r2 = run_graph(graph2, input=7, mapping="dynamic", broker=broker)
-    assert len(r1.output_for("dbl")) == 5
-    assert len(r2.output_for("dbl")) == 7
-
-
 def test_dynamic_iterations_accounted():
     graph = pipeline(RangeProducer("src"), Double("dbl"))
     result = run_graph(graph, input=12, mapping="dynamic", instances_per_pe=3)
@@ -119,8 +114,6 @@ def test_dynamic_autoscaler_retires_idle_workers():
     """After a burst drains, the pool shrinks back toward min_workers."""
     import time as _t
 
-    from repro.d4py.mappings.dynamic import ElasticPool
-
     class Slowish(Double):
         def _process(self, value):
             _t.sleep(0.002)
@@ -132,7 +125,6 @@ def test_dynamic_autoscaler_retires_idle_workers():
     # trigger the scale-up this test is about.
     engine = ElasticPool(
         graph,
-        RedisSim(),
         instances_per_pe=4,
         min_workers=1,
         max_workers=6,
@@ -159,7 +151,6 @@ def test_dynamic_claims_tasks_in_fifo_order():
     to producer state, so claim order is what the sink observes.)
     """
     from repro.d4py import IterativePE, ProducerPE
-    from repro.d4py.mappings.dynamic import ElasticPool
 
     class Burst(ProducerPE):
         def _process(self, inputs):
@@ -178,7 +169,6 @@ def test_dynamic_claims_tasks_in_fifo_order():
     graph = pipeline(Burst("src"), Recorder("rec"))
     engine = ElasticPool(
         graph,
-        RedisSim(),
         instances_per_pe=1,
         min_workers=1,
         max_workers=1,
@@ -199,10 +189,6 @@ def test_dynamic_instance_creation_not_globally_serialised():
     global lock, the first would hold it while parked on the barrier and
     the second could never arrive, so the barrier would break.
     """
-    import threading
-
-    from repro.d4py.mappings.dynamic import ElasticPool
-
     class Meet(Double):
         barrier = threading.Barrier(2)  # class attribute: survives deepcopy
 
@@ -213,7 +199,6 @@ def test_dynamic_instance_creation_not_globally_serialised():
     graph = pipeline(RangeProducer("src"), Meet("meet"))
     engine = ElasticPool(
         graph,
-        RedisSim(),
         instances_per_pe=2,
         min_workers=1,
         max_workers=1,
@@ -238,22 +223,8 @@ def test_dynamic_instance_creation_not_globally_serialised():
     assert entries[0].pe is not entries[1].pe  # two distinct PE copies
 
 
-def test_dynamic_repeated_runs_leave_shared_broker_clean():
-    """Enactments on a long-lived broker must not accumulate ghost keys."""
-    broker = RedisSim()
-    baseline = broker.stats()
-    for _ in range(3):
-        graph = pipeline(RangeProducer("src"), Double("dbl"))
-        result = run_graph(
-            graph, input=20, mapping="dynamic", broker=broker, max_workers=2
-        )
-        assert len(result.output_for("dbl")) == 20
-        assert broker.stats() == baseline
-
-
 def test_dynamic_leaked_worker_reported_in_logs(monkeypatch):
     """A worker that outlives the join budget is surfaced, not swallowed."""
-    import threading
     import time as _t
 
     from repro.d4py.mappings import dynamic as dyn
@@ -263,7 +234,6 @@ def test_dynamic_leaked_worker_reported_in_logs(monkeypatch):
     graph = pipeline(RangeProducer("src"), Double("dbl"))
     engine = dyn.ElasticPool(
         graph,
-        RedisSim(),
         instances_per_pe=2,
         min_workers=1,
         max_workers=2,
@@ -333,8 +303,6 @@ def test_run_making_progress_outlives_the_stall_limit(monkeypatch, mapping, opti
 def test_dynamic_postprocess_runs_only_once_the_stream_drained():
     """A drained pool sweeps every instance; a stopped one sweeps none (a
     worker may still be inside an invocation)."""
-    import threading
-
     from repro.d4py.mappings import Stopped
 
     class Holder(Double):
@@ -399,3 +367,140 @@ def test_stream_session_stop_returns_once_drained():
         took.append(time.perf_counter() - started)
         assert sorted(result.output_for("inc")) == [2 * i + 1 for i in range(5)]
     assert statistics.median(took) < 0.005, sorted(took)
+
+
+# -- the gauges count live pools only ------------------------------------------
+
+
+def _gauges(registry):
+    return (
+        registry.gauge("laminar_dynamic_workers").value,
+        registry.gauge("laminar_dynamic_queue_depth").value,
+    )
+
+
+def test_dynamic_gauges_count_live_pools_and_release_finished_ones():
+    """The workers and queue-depth gauges sum over the live pools of their
+    registry and read 0 once every run finished; the registry keeps no
+    reference to a finished pool."""
+    registry = MetricsRegistry()
+
+    def pool():
+        graph = pipeline(RangeProducer("src"), Double("dbl"))
+        return ElasticPool(graph, min_workers=1, autoscale=False, registry=registry)
+
+    first, second = pool().start(), pool().start()
+    assert _gauges(registry) == (2, 0)
+    first.finish()
+    assert _gauges(registry) == (1, 0)
+    second.finish()
+    assert _gauges(registry) == (0, 0)
+
+    finished = pool()
+    ref = weakref.ref(finished)
+    result = finished.run(10)
+    assert sorted(result.output_for("dbl")) == [2 * i for i in range(10)]
+    assert _gauges(registry) == (0, 0)
+    del first, second, finished
+    gc.collect()
+    assert ref() is None, "a finished pool is still reachable"
+
+
+# -- concurrent runs, each on its own broker -----------------------------------
+
+
+def _isolated_workflow(source, stage, constant, operation):
+    return f"""
+import time
+class {source}(ProducerPE):
+    def _process(self, inputs):
+        return {constant}
+class {stage}(IterativePE):
+    def _process(self, value):
+        time.sleep(0.002)
+        return value {operation}
+graph = WorkflowGraph()
+graph.connect({source}("{source}"), "output", {stage}("{stage}"), "input")
+"""
+
+
+#: name -> (source PE, stage PE, input, the run's exact outputs)
+_ISOLATED = {
+    "twice": ("SrcA", "Twice", 5, {"Twice.output": [14] * 5}),
+    "plus": ("SrcB", "Plus", 7, {"Plus.output": [1003] * 7}),
+}
+_ISOLATED_CODE = {
+    "twice": _isolated_workflow("SrcA", "Twice", 7, "* 2"),
+    "plus": _isolated_workflow("SrcB", "Plus", 3, "+ 1000"),
+}
+
+
+def _run_isolated_pair(clients, names):
+    """Register both workflows (``names`` gives each its registered name),
+    then ``run_dynamic`` each on its own thread, released together by a
+    barrier; each run must get exactly its own outputs and iteration
+    counts."""
+    for client, name in zip(clients, _ISOLATED):
+        client.register_Workflow(_ISOLATED_CODE[name], name=names[name])
+    barrier = threading.Barrier(len(_ISOLATED))
+    summaries, errors = {}, []
+
+    def run(client, name):
+        try:
+            barrier.wait(timeout=10)
+            summaries[name] = client.run_dynamic(names[name], input=_ISOLATED[name][2])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(clients, _ISOLATED)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not errors, errors
+    for name, (source, stage, count, outputs) in _ISOLATED.items():
+        summary = summaries[name]
+        assert summary.ok, summary.error
+        assert summary.outputs == outputs
+        totals: dict[str, int] = {}
+        for instance, n in summary.iterations.items():
+            pe = instance.rstrip("0123456789")
+            totals[pe] = totals.get(pe, 0) + n
+        assert totals == {source: count, stage: count}
+
+
+def test_concurrent_dynamic_runs_are_isolated():
+    """Two dynamic runs started together on one server — in process, and on
+    one shard of a 2-shard cluster — each see only their own work."""
+    from repro.laminar.client.client import LaminarClient
+    from repro.laminar.cluster import ClusterSupervisor
+    from repro.laminar.server.app import LaminarServer
+
+    server = LaminarServer()
+    try:
+        clients = [LaminarClient(server=server) for _ in _ISOLATED]
+        _run_isolated_pair(clients, {name: name for name in _ISOLATED})
+    finally:
+        server.close()
+
+    sup = ClusterSupervisor(shards=2, replication=1, health_interval=0.0)
+    config = sup.start()
+    clients = []
+    try:
+        # A shard answers a name it does not own with a 421, so both
+        # workflows get names owned by the first shard.
+        info = config.shards[0]
+        names = {
+            name: next(
+                f"{name}-{i}"
+                for i in itertools.count()
+                if sup.router.owner(f"workflow:{name}-{i}") == info.shard_id
+            )
+            for name in _ISOLATED
+        }
+        clients = [LaminarClient.connect(info.host, info.port) for _ in _ISOLATED]
+        _run_isolated_pair(clients, names)
+    finally:
+        for client in clients:
+            client.close()
+        sup.stop()

@@ -5,23 +5,12 @@ import time
 
 from hypothesis import given, strategies as st
 
-from repro.d4py.redisim import RedisSim, default_broker
+from repro.d4py.redisim import RedisSim
 
 
-def test_push_pop_fifo_semantics():
-    r = RedisSim()
-    r.rpush("q", 1, 2, 3)
-    assert r.brpop("q", timeout=0.1) == 3  # tail pop
-    assert r.lpop("q") == 1
-    assert r.rpop("q") == 2
-    assert r.rpop("q") is None
-
-
-def test_lpush_prepends():
-    r = RedisSim()
-    r.lpush("q", "a", "b")
-    assert r.lpop("q") == "b"
-    assert r.lpop("q") == "a"
+def test_public_api_is_what_the_pool_calls():
+    public = {name for name in dir(RedisSim) if not name.startswith("_")}
+    assert public == {"rpush", "blpop", "llen", "incr", "decr", "get", "wait_for_zero"}
 
 
 def test_llen():
@@ -29,28 +18,6 @@ def test_llen():
     assert r.llen("q") == 0
     r.rpush("q", 1, 2)
     assert r.llen("q") == 2
-
-
-def test_brpop_times_out_on_empty():
-    r = RedisSim()
-    start = time.monotonic()
-    assert r.brpop("empty", timeout=0.05) is None
-    assert time.monotonic() - start >= 0.04
-
-
-def test_brpop_wakes_on_push():
-    r = RedisSim()
-    got = []
-
-    def consumer():
-        got.append(r.brpop("q", timeout=2.0))
-
-    t = threading.Thread(target=consumer)
-    t.start()
-    time.sleep(0.02)
-    r.rpush("q", "item")
-    t.join(timeout=2.0)
-    assert got == ["item"]
 
 
 def test_blpop_head_pop_is_fifo_with_rpush():
@@ -82,85 +49,11 @@ def test_blpop_wakes_on_push():
     assert got == ["item"]
 
 
-def test_drained_lists_do_not_leak_keys():
-    """Fully popped lists disappear from the key table (defaultdict ghosts)."""
-    r = RedisSim()
-    for i in range(10):
-        key = f"run{i}:tasks"
-        r.rpush(key, 1, 2, 3)
-        assert r.blpop(key, timeout=0.1) == 1
-        assert r.rpop(key) == 3
-        assert r.lpop(key) == 2
-    assert r.stats()["lists"] == 0
-    assert r.stats()["queued_items"] == 0
-
-
-def test_delete_prefix_spans_namespaces():
-    r = RedisSim()
-    r.set("run1:pending", 3)
-    r.rpush("run1:tasks", "x")
-    r.hset("run1:meta", "f", 1)
-    r.set("keep", 1)
-    assert r.delete_prefix("run1:") == 3
-    assert r.get("run1:pending") is None
-    assert r.llen("run1:tasks") == 0
-    assert r.hgetall("run1:meta") == {}
-    assert r.get("keep") == 1
-    assert r.delete_prefix("run1:") == 0
-
-
-def test_delete_prefix_wakes_wait_for_zero():
-    """Dropping a counter key reads as zero, so waiters must re-check."""
-    r = RedisSim()
-    r.incr("run2:pending", 5)
-
-    def cleaner():
-        time.sleep(0.02)
-        r.delete_prefix("run2:")
-
-    t = threading.Thread(target=cleaner)
-    t.start()
-    assert r.wait_for_zero("run2:pending", timeout=2.0) is True
-    t.join()
-
-
-def test_hash_operations():
-    r = RedisSim()
-    r.hset("h", "f", 1)
-    assert r.hget("h", "f") == 1
-    assert r.hget("h", "missing") is None
-    assert r.hgetall("h") == {"f": 1}
-
-
-def test_hsetnx_only_sets_once():
-    r = RedisSim()
-    assert r.hsetnx("h", "f", "first") is True
-    assert r.hsetnx("h", "f", "second") is False
-    assert r.hget("h", "f") == "first"
-
-
 def test_incr_decr():
     r = RedisSim()
     assert r.incr("c") == 1
     assert r.incr("c", 5) == 6
     assert r.decr("c") == 5
-
-
-def test_get_set_delete():
-    r = RedisSim()
-    r.set("k", "v")
-    assert r.get("k") == "v"
-    assert r.delete("k") == 1
-    assert r.get("k") is None
-    assert r.delete("k") == 0
-
-
-def test_delete_spans_namespaces():
-    r = RedisSim()
-    r.set("x", 1)
-    r.rpush("y", 1)
-    r.hset("z", "f", 1)
-    assert r.delete("x", "y", "z") == 3
 
 
 def test_wait_for_zero_immediate():
@@ -186,19 +79,6 @@ def test_wait_for_zero_wakes_on_decr():
     t.start()
     assert r.wait_for_zero("busy", timeout=2.0) is True
     t.join()
-
-
-def test_flushall():
-    r = RedisSim()
-    r.set("k", 1)
-    r.rpush("q", 1)
-    r.flushall()
-    assert r.get("k") is None
-    assert r.llen("q") == 0
-
-
-def test_default_broker_is_singleton():
-    assert default_broker() is default_broker()
 
 
 def test_concurrent_incr_is_atomic():
@@ -228,7 +108,7 @@ def test_concurrent_producers_consumers_conserve_items():
 
     def consumer():
         while True:
-            item = r.brpop("jobs", timeout=0.2)
+            item = r.blpop("jobs", timeout=0.2)
             if item is None:
                 return
             with lock:
@@ -248,7 +128,7 @@ def test_list_roundtrip_preserves_items(items):
     r = RedisSim()
     if items:
         r.rpush("q", *items)
-    popped = [r.lpop("q") for _ in items]
+    popped = [r.blpop("q", timeout=0) for _ in items]
     assert popped == items
 
 
@@ -258,84 +138,3 @@ def test_incr_sums_deltas(deltas):
     for d in deltas:
         r.incr("k", d)
     assert int(r.get("k") or 0) == sum(deltas)
-
-
-def test_blocked_brpop_consumers_with_interleaved_lpush():
-    """Consumers parked in brpop on one key; interleaved lpush wakes them.
-
-    Every pushed value must be delivered exactly once (no loss, no
-    double-delivery) even though all consumers block on the same key
-    while producers interleave their pushes.
-    """
-    r = RedisSim()
-    n_consumers, per_producer, n_producers = 8, 40, 4
-    total = per_producer * n_producers
-    consumed: list = []
-    lock = threading.Lock()
-    started = threading.Barrier(n_consumers + n_producers + 1)
-
-    def consumer():
-        started.wait()
-        while True:
-            item = r.brpop("k", timeout=1.0)
-            if item == "stop":
-                r.lpush("k", "stop")  # pass the poison pill along
-                return
-            assert item is not None, "brpop timed out with items still due"
-            with lock:
-                consumed.append(item)
-
-    def producer(base):
-        started.wait()
-        for i in range(per_producer):
-            r.lpush("k", base + i)
-            if i % 7 == 0:
-                time.sleep(0.001)  # force interleaving across producers
-
-    consumers = [threading.Thread(target=consumer) for _ in range(n_consumers)]
-    producers = [
-        threading.Thread(target=producer, args=(j * per_producer,))
-        for j in range(n_producers)
-    ]
-    for t in consumers + producers:
-        t.start()
-    started.wait()  # all threads racing from the same instant
-    for t in producers:
-        t.join()
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        with lock:
-            if len(consumed) == total:
-                break
-        time.sleep(0.005)
-    r.lpush("k", "stop")
-    for t in consumers:
-        t.join(timeout=5.0)
-    assert len(consumed) == total, "lost or stuck deliveries"
-    assert sorted(consumed) == list(range(total)), "double or phantom delivery"
-
-
-def test_blocked_brpop_timeouts_fire_under_contention():
-    """With fewer items than blocked consumers, the rest time out cleanly."""
-    r = RedisSim()
-    results: list = []
-    lock = threading.Lock()
-
-    def consumer():
-        item = r.brpop("scarce", timeout=0.15)
-        with lock:
-            results.append(item)
-
-    threads = [threading.Thread(target=consumer) for _ in range(6)]
-    for t in threads:
-        t.start()
-    time.sleep(0.03)  # let every consumer block first
-    r.lpush("scarce", "a", "b")
-    start = time.monotonic()
-    for t in threads:
-        t.join(timeout=5.0)
-    elapsed = time.monotonic() - start
-    winners = [x for x in results if x is not None]
-    assert sorted(winners) == ["a", "b"]  # each item delivered exactly once
-    assert results.count(None) == 4  # the rest timed out
-    assert elapsed < 2.0  # timeouts fired promptly, nobody wedged
