@@ -4,7 +4,7 @@ The paper motivates the schema rework with "stability and scalability
 ... efficiently store larger datasets" (String → CLOB columns, added
 indexes).  This bench loads the registry at increasing sizes and
 measures the operations a user feels: PE registration (with metadata
-generation), literal search (index-backed LIKE), semantic search and
+generation), literal search (a SQL substring scan), semantic search and
 code recommendation — confirming search stays interactive as the
 registry grows and registration cost is flat (no O(n) rebuild per
 insert).

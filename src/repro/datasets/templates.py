@@ -19,6 +19,7 @@ All rendering is deterministic given ``(family, variant, seed)``.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 __all__ = ["FunctionFamily", "FAMILIES", "render_variant", "NAME_POOLS"]
@@ -1070,7 +1071,7 @@ def render_variant(
     its pool, so equal seeds reproduce identical sources.
     """
     template = family.variants[variant % len(family.variants)]
-    rng = random.Random((hash(family.key) & 0xFFFF) * 1_000_003 + seed)
+    rng = random.Random((zlib.crc32(family.key.encode()) & 0xFFFF) * 1_000_003 + seed)
     # Both the function name and the locals vary with the seed: same-variant
     # renders are *renamed* clones (identical structure, different surface),
     # which is what separates structural from surface-form search.

@@ -18,6 +18,10 @@ from repro.laminar.registry.schema import SCHEMA_STATEMENTS
 __all__ = ["RegistryDatabase"]
 
 
+def _casefold(text: str | None) -> str | None:
+    return None if text is None else text.casefold()
+
+
 class RegistryDatabase:
     """Owns the sqlite connection and applies the Fig 6 schema."""
 
@@ -25,6 +29,9 @@ class RegistryDatabase:
         self.path = path
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
+        # SQL ``casefold(text)``: Unicode case folding for literal search
+        # (SQLite's own LIKE/lower fold ASCII only).
+        self._conn.create_function("casefold", 1, _casefold, deterministic=True)
         self._lock = threading.RLock()
         with self._lock:
             self._conn.execute("PRAGMA foreign_keys = ON")

@@ -9,7 +9,6 @@ describes ("controllers, services, models, and data access").
 from __future__ import annotations
 
 import json
-import re
 
 from repro.laminar.registry.database import RegistryDatabase
 from repro.laminar.server.models import (
@@ -210,12 +209,13 @@ class RegistryRepository:
         self, term: str, user_id: int | None = None
     ) -> list[RegistryRecord]:
         """Case-insensitive substring match over names and descriptions
-        (§V-A): ``%``, ``_`` and ``\\`` match themselves, not as wildcards."""
-        like = "%" + re.sub(r"([%_\\])", r"\\\1", term) + "%"
+        (§V-A), under Unicode case folding; no character is a wildcard."""
+        needle = term.casefold()
         return self._select(
             user_id,
-            f"({self.kind.name_col} LIKE ? ESCAPE '\\' OR description LIKE ? ESCAPE '\\')",
-            (like, like),
+            f"(instr(casefold({self.kind.name_col}), ?) > 0 "
+            "OR instr(casefold(description), ?) > 0)",
+            (needle, needle),
         )
 
 

@@ -79,9 +79,8 @@ _PE_BASES = {"GenericPE", "IterativePE", "ProducerPE", "ConsumerPE", "CompositeP
 DEFAULT_TOP_K = 5
 DEFAULT_SPT_THRESHOLD = 6.0
 
-#: Longest literal-search term: SQLite refuses LIKE patterns over 50 000
-#: bytes.  Escaping doubles only ``%``, ``_`` and ``\``, which are one byte
-#: each, so the pattern is at most 40 002 bytes (four-byte characters).
+#: Longest literal-search term, in characters: every name and description
+#: in scope is scanned for it, so the cap bounds the cost of one query.
 MAX_LITERAL_TERM = 10_000
 
 #: Cap on the encoded bytes of one ``run`` DATA payload (the JSON list of

@@ -1,33 +1,28 @@
-"""Search front-ends: literal, semantic (text-to-code) and code-to-code.
+"""Search front-ends: semantic (text-to-code) and code-to-code.
 
-These are the three search families of the paper's §II-D/§V, packaged as
-standalone engines over any collection of named, described, code-bearing
-items — the Laminar server's registry uses them, and so can user code
-operating on plain lists (see ``examples/search_showcase.py``).
+Two of the paper's three search families (§II-D/§V), as engines over any
+collection of named, described, code-bearing items; the Laminar server's
+registry indexes are built from them.  The third, literal search (§V-A),
+is a SQL substring match served by
+:meth:`repro.laminar.server.dataaccess.RegistryRepository.literal_search`.
 
-* :class:`repro.search.literal.LiteralSearch` — substring matching over
-  names and descriptions (§V-A).
 * :class:`repro.search.semantic.SemanticSearch` — embedding cosine over
   descriptions (§V-B), with incremental add/remove.
 * :class:`repro.search.code.CodeSearch` — structural SPT-overlap search
   with Laminar's top-5/threshold-6.0 defaults, plus the ReACC 'llm'
   fallback (§VI-A).
 
-The scale substrate underneath them lives in :mod:`repro.search.index`:
-an amortized-growth exact :class:`~repro.search.index.VectorIndex`, a
-persisted/memmap warm-start format, and the two-stage
-LSH-candidates → exact-rerank :class:`~repro.search.index.TwoStageIndex`.
+Underneath them, :mod:`repro.search.index` holds the exact
+:class:`~repro.search.index.VectorIndex` and its persisted/memmap
+warm-start format.
 """
 
-from repro.search.literal import LiteralSearch
 from repro.search.semantic import SemanticSearch
 from repro.search.code import CodeSearch
-from repro.search.index import TwoStageIndex, VectorIndex
+from repro.search.index import VectorIndex
 
 __all__ = [
-    "LiteralSearch",
     "SemanticSearch",
     "CodeSearch",
     "VectorIndex",
-    "TwoStageIndex",
 ]

@@ -1,34 +1,25 @@
-"""``repro.search.index`` — the scalable vector-index subsystem.
+"""``repro.search.index`` — the exact vector index and its persistence.
 
-The single retrieval substrate behind semantic text-to-code search and
-code recommendation at corpus scale (ROADMAP: "search at millions of
-snippets"):
+The retrieval substrate behind semantic text-to-code search:
 
 * :class:`VectorIndex` — flat exact cosine index: amortized-growth
-  float32 storage, tombstone O(1) remove, ``argpartition`` top-k for
-  single and batched queries.
+  float32 storage, tombstone O(1) remove, owner-tagged rows and
+  ``argpartition`` top-k over the caller's rows.
 * :func:`save_index` / :func:`load_index` — versioned ``.npy`` +
   JSON-manifest persistence with ``np.memmap`` warm starts, sha256
   checksums and loud :class:`IndexPersistenceError` failures.
-* :class:`RandomHyperplaneLSH` — banded SimHash candidate generation.
-* :class:`TwoStageIndex` — LSH candidates → exact rerank, the FAISS
-  two-stage idiom with recall/latency knobs.
 """
 
-from repro.search.index.lsh import RandomHyperplaneLSH
 from repro.search.index.persist import (
     IndexPersistenceError,
     load_index,
     manifest_info,
     save_index,
 )
-from repro.search.index.twostage import TwoStageIndex
 from repro.search.index.vector import VectorIndex
 
 __all__ = [
     "VectorIndex",
-    "TwoStageIndex",
-    "RandomHyperplaneLSH",
     "IndexPersistenceError",
     "save_index",
     "load_index",

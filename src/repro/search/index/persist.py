@@ -40,12 +40,8 @@ __all__ = [
 FORMAT_NAME = "repro-vector-index"
 FORMAT_VERSION = 1
 
-LSH_FORMAT_NAME = "repro-lsh-buckets"
-LSH_FORMAT_VERSION = 1
-
 _MANIFEST = "manifest.json"
 _VECTORS = "vectors.npy"
-_LSH = "lsh.json"
 
 
 class IndexPersistenceError(Exception):
@@ -68,14 +64,8 @@ def _checksum(matrix: np.ndarray) -> str:
     ).hexdigest()
 
 
-def save_index(index, path: str | Path) -> dict:
+def save_index(index: VectorIndex, path: str | Path) -> dict:
     """Write ``index`` under directory ``path``; returns the manifest.
-
-    Accepts a plain :class:`VectorIndex` or a
-    :class:`~repro.search.index.twostage.TwoStageIndex` — for the
-    latter, the LSH bucket maps are persisted alongside the vectors in
-    ``lsh.json`` (the hyperplanes regenerate from the stored seed), so a
-    warm start skips the in-memory LSH rebuild entirely.
 
     The index is compacted first so the file holds only live rows; ids
     must be JSON-serializable (ints and strings are — registry ids are
@@ -84,9 +74,6 @@ def save_index(index, path: str | Path) -> dict:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    two_stage = None
-    if hasattr(index, "exact") and hasattr(index, "lsh"):
-        two_stage, index = index, index.exact
     index.compact()
     count = len(index)
     matrix = np.ascontiguousarray(
@@ -107,18 +94,6 @@ def save_index(index, path: str | Path) -> dict:
         raise IndexPersistenceError(
             "unserializable-ids", f"item ids are not JSON-safe: {exc}"
         ) from exc
-    lsh_doc = None
-    if two_stage is not None:
-        lsh_doc = {
-            "format": LSH_FORMAT_NAME,
-            "version": LSH_FORMAT_VERSION,
-            "bands": two_stage.lsh.bands,
-            "rows": two_stage.lsh.rows,
-            "seed": two_stage.lsh.seed,
-            "candidate_multiplier": two_stage.candidate_multiplier,
-            "keys": two_stage.lsh.export_keys(),
-        }
-        manifest["lsh"] = {k: lsh_doc[k] for k in ("bands", "rows", "seed")}
     tmp_vec = path / (_VECTORS + ".tmp")
     tmp_man = path / (_MANIFEST + ".tmp")
     with open(tmp_vec, "wb") as fh:  # file object: np.save won't add .npy
@@ -126,15 +101,6 @@ def save_index(index, path: str | Path) -> dict:
     tmp_man.write_text(json.dumps(manifest, indent=1))
     tmp_vec.replace(path / _VECTORS)
     tmp_man.replace(path / _MANIFEST)
-    lsh_path = path / _LSH
-    if lsh_doc is not None:
-        tmp_lsh = path / (_LSH + ".tmp")
-        tmp_lsh.write_text(json.dumps(lsh_doc))
-        tmp_lsh.replace(lsh_path)
-    elif lsh_path.exists():
-        # A plain index saved over a two-stage one: drop the stale
-        # sidecar so the next load doesn't resurrect old bucket maps.
-        lsh_path.unlink()
     return manifest
 
 
@@ -176,14 +142,8 @@ def manifest_info(path: str | Path) -> dict:
     return manifest
 
 
-def load_index(path: str | Path, mmap: bool = True, verify: bool = True):
-    """Load a persisted index from directory ``path``.
-
-    Returns a :class:`VectorIndex`, or a
-    :class:`~repro.search.index.twostage.TwoStageIndex` when an
-    ``lsh.json`` sidecar is present — the bucket maps are read back
-    as-is (no projection pass), so the warm start costs one JSON parse
-    instead of an O(items × dim) rebuild.
+def load_index(path: str | Path, mmap: bool = True, verify: bool = True) -> VectorIndex:
+    """Load the persisted :class:`VectorIndex` under directory ``path``.
 
     ``mmap=True`` maps the vector file read-only — queries page in only
     the rows they touch, and the first mutation copies the matrix into
@@ -218,59 +178,7 @@ def load_index(path: str | Path, mmap: bool = True, verify: bool = True):
         raise IndexPersistenceError(
             "checksum", f"vector bytes do not match manifest checksum at {path}"
         )
-    index = _attach(manifest, matrix, readonly=mmap)
-    lsh_path = path / _LSH
-    if lsh_path.exists():
-        return _attach_lsh(lsh_path, manifest, index)
-    return index
-
-
-def _attach_lsh(lsh_path: Path, manifest: dict, index: VectorIndex):
-    """Wrap a loaded exact index into a TwoStageIndex from ``lsh.json``."""
-    from repro.search.index.twostage import TwoStageIndex
-
-    try:
-        doc = json.loads(lsh_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexPersistenceError(
-            "bad-lsh", f"cannot parse {lsh_path}: {exc}"
-        ) from exc
-    if not isinstance(doc, dict) or doc.get("format") != LSH_FORMAT_NAME:
-        raise IndexPersistenceError(
-            "bad-lsh", f"{lsh_path} is not a {LSH_FORMAT_NAME} document"
-        )
-    if doc.get("version") != LSH_FORMAT_VERSION:
-        raise IndexPersistenceError(
-            "version",
-            f"lsh sidecar version {doc.get('version')!r} unsupported "
-            f"(expected {LSH_FORMAT_VERSION})",
-        )
-    for key in ("bands", "rows", "seed", "keys"):
-        if key not in doc:
-            raise IndexPersistenceError("bad-lsh", f"lsh sidecar missing {key!r}")
-    stored_ids = {_id_key(entry[0]) for entry in doc["keys"]}
-    manifest_ids = {_id_key(i) for i in manifest["ids"]}
-    if stored_ids != manifest_ids:
-        raise IndexPersistenceError(
-            "lsh-mismatch",
-            f"lsh sidecar covers {len(stored_ids)} ids but the manifest "
-            f"lists {len(manifest_ids)} — the sidecar is stale",
-        )
-    two_stage = TwoStageIndex(
-        int(manifest["dim"]),
-        bands=int(doc["bands"]),
-        rows=int(doc["rows"]),
-        seed=int(doc["seed"]),
-        candidate_multiplier=int(doc.get("candidate_multiplier", 4)),
-    )
-    two_stage.exact = index
-    try:
-        two_stage.lsh.load_keys(doc["keys"])
-    except (ValueError, TypeError) as exc:
-        raise IndexPersistenceError(
-            "bad-lsh", f"invalid band keys in {lsh_path}: {exc}"
-        ) from exc
-    return two_stage
+    return _attach(manifest, matrix, readonly=mmap)
 
 
 def _attach(manifest: dict, matrix: np.ndarray, readonly: bool) -> VectorIndex:

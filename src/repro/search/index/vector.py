@@ -1,7 +1,7 @@
 """Flat vector index with amortized growth and tombstone removal.
 
 The retrieval substrate behind semantic text-to-code search (§V-B) at
-registry scale.  Three properties distinguish it from the naive
+registry scale.  Four properties distinguish it from the naive
 matrix-per-add approach it replaces:
 
 * **Amortized O(1) add** — vectors live in a pre-allocated float32
@@ -10,9 +10,8 @@ matrix-per-add approach it replaces:
 * **O(1) remove** — removed rows are tombstoned (masked out of search)
   rather than deleted, so no O(n) row renumbering; the matrix is
   compacted in one pass when tombstones outnumber live rows.
-* **Batched top-k** — queries use ``np.argpartition`` (O(n) selection)
-  instead of a full O(n log n) sort, for one query or a whole batch in
-  a single matrix product.
+* **Partial top-k** — queries use ``np.argpartition`` (O(n) selection)
+  instead of a full O(n log n) sort.
 * **Owner-scoped top-k** — every row carries an int tag (the registry
   stores its owner's user id); ``search_vector(..., owner=t)`` scores
   and selects among the rows tagged ``t`` only, so a tenant's query
@@ -88,10 +87,6 @@ class VectorIndex:
     def ids(self) -> list[Any]:
         """Live item ids in insertion order."""
         return [i for i in self._ids if i in self._row_of]
-
-    def vector(self, item_id: Any) -> np.ndarray:
-        """The stored (normalized) vector of one live item."""
-        return np.array(self._matrix[self._row_of[item_id]])
 
     def stats(self) -> dict:
         """Size/occupancy counters for observability and tests."""
@@ -237,43 +232,25 @@ class VectorIndex:
         self._used = len(live_ids)
         self._compactions += 1
 
-    def clear(self) -> None:
-        """Drop every item, keeping allocated capacity."""
-        self._ensure_writable()
-        self._valid[:] = False
-        self._ids = []
-        self._row_of = {}
-        self._used = 0
-
     # -- search --------------------------------------------------------------
 
-    def _top_k_from_sims(self, sims: np.ndarray, top_k: int) -> list[tuple[Any, float]]:
-        """Select top-k rows of one :meth:`search_batch` similarity column,
-        masked and ordered (ties by row, like :meth:`_rank_rows`)."""
-        sims = np.where(self._valid[: self._used], sims, -np.inf)
-        k = min(top_k, len(self._row_of))
-        if k <= 0:
-            return []
-        if k < sims.shape[0]:
-            top = np.argpartition(-sims, k - 1)[:k]
-        else:
-            top = np.arange(sims.shape[0])
-        order = top[np.lexsort((top, -sims[top]))]
-        return [
-            (self._ids[i], float(sims[i]))
-            for i in order
-            if np.isfinite(sims[i])
-        ]
-
-    def _rank_rows(
-        self, vector: Sequence[float] | np.ndarray, rows: np.ndarray, top_k: int
+    def search_vector(
+        self,
+        vector: Sequence[float] | np.ndarray,
+        top_k: int = 5,
+        owner: int | None = None,
     ) -> list[tuple[Any, float]]:
-        """Exact top-k among ``rows`` (ascending row numbers).
+        """Top-``top_k`` ``(item_id, cosine)`` pairs for one query vector,
+        among the rows tagged ``owner`` when one is given.
 
         Only those rows are scored.  ``argpartition`` gives O(n)
         selection; only the k winners are then sorted, with ties broken by
         row (= insertion) order so results are deterministic.
         """
+        live = self._valid[: self._used]
+        if owner is not None:
+            live = live & (self._tags[: self._used] == owner)
+        rows = np.flatnonzero(live)
         k = min(top_k, rows.shape[0])
         if k <= 0:
             return []
@@ -292,47 +269,3 @@ class VectorIndex:
             top = np.arange(sims.shape[0])
         order = top[np.lexsort((top, -sims[top]))]
         return [(self._ids[rows[i]], float(sims[i])) for i in order]
-
-    def search_vector(
-        self,
-        vector: Sequence[float] | np.ndarray,
-        top_k: int = 5,
-        owner: int | None = None,
-    ) -> list[tuple[Any, float]]:
-        """Top-``top_k`` ``(item_id, cosine)`` pairs for one query vector,
-        among the rows tagged ``owner`` when one is given."""
-        if not self._row_of:
-            return []
-        live = self._valid[: self._used]
-        if owner is not None:
-            live = live & (self._tags[: self._used] == owner)
-        return self._rank_rows(vector, np.flatnonzero(live), top_k)
-
-    def search_batch(
-        self, vectors: np.ndarray, top_k: int = 5
-    ) -> list[list[tuple[Any, float]]]:
-        """Top-k results for every row of ``vectors`` in one matrix product."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
-        if not self._row_of:
-            return [[] for _ in range(vectors.shape[0])]
-        queries = _normalize_rows(vectors)
-        # (used, n_queries) — one GEMM for the whole batch.
-        sims = self._matrix[: self._used] @ queries.T
-        return [
-            self._top_k_from_sims(sims[:, j], top_k)
-            for j in range(queries.shape[0])
-        ]
-
-    def search_subset(
-        self,
-        vector: Sequence[float] | np.ndarray,
-        candidate_ids: Sequence[Any],
-        top_k: int = 5,
-    ) -> list[tuple[Any, float]]:
-        """Exact top-k restricted to ``candidate_ids`` (the rerank stage).
-
-        Unknown or tombstoned candidates are ignored.  Ties break by
-        insertion order, matching :meth:`search_vector`.
-        """
-        rows = {self._row_of[c] for c in candidate_ids if c in self._row_of}
-        return self._rank_rows(vector, np.asarray(sorted(rows), dtype=np.int64), top_k)

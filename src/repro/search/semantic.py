@@ -1,7 +1,7 @@
 """Semantic text-to-code search over description embeddings (paper §V-B).
 
-Queries are one ``matrix @ vector`` product (the vectorised hot path the
-HPC guides prescribe), and storage/ranking delegate to
+A query scores the caller's rows in one vectorised pass, and
+storage/ranking delegate to
 :class:`repro.search.index.VectorIndex`: adds are amortized O(1)
 (capacity-doubling instead of the old per-add ``np.vstack``, which made
 building an n-item index O(n²)), removes are O(1) tombstones, and top-k
@@ -9,9 +9,9 @@ uses ``np.argpartition`` instead of a full sort.  Mirrors Laminar's flow
 exactly: descriptions are embedded once at registration, queries at
 search time, ranking by cosine.
 
-Pass a :class:`repro.search.index.TwoStageIndex` as ``index`` to trade
-exactness for speed at large corpus sizes (LSH candidates → exact
-rerank; see ``docs/guide.md`` §"Search at scale").
+Pass a loaded :class:`~repro.search.index.VectorIndex` as ``index`` to
+serve a persisted index (the registry's warm start; see ``docs/guide.md``
+§"Search at scale").
 
 Items may carry an int owner tag; ``search(..., owner=t)`` ranks only the
 items tagged ``t``.  ``lock`` is held around the selection step (never
@@ -41,11 +41,9 @@ class SemanticSearch:
     def __init__(
         self,
         embedder: UniXcoderEmbedder | None = None,
-        index: Any | None = None,
+        index: VectorIndex | None = None,
     ) -> None:
         self.embedder = embedder or UniXcoderEmbedder()
-        # Any object with the VectorIndex search/mutation surface works
-        # (VectorIndex for exact search, TwoStageIndex for ANN).
         self.index = index if index is not None else VectorIndex(self.embedder.dim)
         if self.index.dim != self.embedder.dim:
             raise ValueError(
@@ -88,13 +86,3 @@ class SemanticSearch:
         vector = self.embedder.encode(query)[0]
         with self.lock:
             return self.index.search_vector(vector, top_k=top_k, owner=owner)
-
-    def search_batch(
-        self, queries: list[str], top_k: int = 5
-    ) -> list[list[tuple[Any, float]]]:
-        """Top-k results for many text queries in one matrix product."""
-        if not queries:
-            return []
-        if not len(self.index):
-            return [[] for _ in queries]
-        return self.index.search_batch(self.embedder.encode(queries), top_k=top_k)

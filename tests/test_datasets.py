@@ -1,6 +1,10 @@
 """Tests for the synthetic CodeSearchNet-PE corpus generator."""
 
 import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,30 @@ def test_every_template_variant_parses():
 def test_render_is_deterministic():
     fam = FAMILIES[0]
     assert render_variant(fam, 0, 5) == render_variant(fam, 0, 5)
+
+
+def test_corpus_does_not_depend_on_the_hash_seed():
+    """Two interpreters with different ``PYTHONHASHSEED`` render the same
+    corpus: identifier choice is seeded from a stable digest, not
+    ``hash()``, which is salted per process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "from repro.datasets import generate_corpus\n"
+        "for item in generate_corpus(120):\n"
+        "    print(repr(item.function_source))\n"
+    )
+
+    def render(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        return proc.stdout
+
+    first = render(1)
+    assert first.count("\n") == 120
+    assert render(68) == first
 
 
 def test_render_seeds_change_identifiers():

@@ -157,10 +157,11 @@ def test_literal_search_matches_name_and_description(repos, kind):
 
 
 def test_literal_search_has_no_wildcards(repos, kind):
-    """``%``, ``_`` and ``\\`` match themselves, as LiteralSearch's plain
-    substring match does (§V-A)."""
+    """``%``, ``_`` and ``\\`` match themselves: a plain substring match
+    (§V-A), case-insensitive under Unicode case folding (SQLite's LIKE
+    folds ASCII only)."""
     repo = repos[kind.plural]
-    for name in ("Foo", "snake_case", "done100%", "back\\slash"):
+    for name in ("Foo", "snake_case", "done100%", "back\\slash", "Détecte", "Straße"):
         _row(repos, kind, name)
     cases = {
         "_": ["snake_case"],
@@ -171,11 +172,13 @@ def test_literal_search_has_no_wildcards(repos, kind):
         "\\": ["back\\slash"],
         "k\\s": ["back\\slash"],
         "foo": ["Foo"],
+        "DÉTECTE": ["Détecte"],
+        "DÉTECTE PE.": ["Détecte"],  # in the description only
+        "STRASSE": ["Straße"],
     }
     for term, expected in cases.items():
         assert [kind.name(h) for h in repo.literal_search(term)] == expected, term
-    # The escaped pattern of the longest accepted term stays under
-    # SQLite's 50 000-byte LIKE limit, whatever its characters.
+    # The longest accepted term is an ordinary miss, whatever its characters.
     for char in ("\U0001F600", "%"):
         assert repo.literal_search(char * MAX_LITERAL_TERM) == []
 

@@ -4,66 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aroma.spt import ParseFailure
-from repro.search import CodeSearch, LiteralSearch, SemanticSearch
+from repro.search import CodeSearch, SemanticSearch
 
 ITEMS = [
     {"id": 1, "name": "IsPrime", "description": "Checks whether a number is prime."},
     {"id": 2, "name": "WordCount", "description": "Counts words in text."},
     {"id": 3, "name": "AnomalyDetector", "description": "Detects anomalies in streams."},
 ]
-
-
-# -- literal ---------------------------------------------------------------
-
-
-def test_literal_matches_name():
-    ls = LiteralSearch()
-    hits = ls.search(ITEMS, "prime")
-    assert [h["id"] for h in hits] == [1]
-
-
-def test_literal_matches_description():
-    ls = LiteralSearch()
-    hits = ls.search(ITEMS, "words")
-    assert [h["id"] for h in hits] == [2]
-
-
-def test_literal_case_insensitive():
-    ls = LiteralSearch()
-    assert [h["id"] for h in ls.search(ITEMS, "ANOMAL")] == [3]
-
-
-def test_literal_no_match():
-    assert LiteralSearch().search(ITEMS, "zzz") == []
-
-
-def test_literal_custom_accessors():
-    ls = LiteralSearch(name_of=lambda t: t[0], description_of=lambda t: t[1])
-    hits = ls.search([("alpha", "first"), ("beta", "second")], "bet")
-    assert hits == [("beta", "second")]
-
-
-def test_literal_highlight():
-    ls = LiteralSearch()
-    assert ls.highlight("a Prime number", "prime") == "a **Prime** number"
-
-
-def test_literal_highlight_multiple():
-    ls = LiteralSearch()
-    assert ls.highlight("ab ab", "ab") == "**ab** **ab**"
-
-
-def test_literal_highlight_empty_term():
-    assert LiteralSearch().highlight("text", "") == "text"
-
-
-@given(
-    st.text(alphabet="abcdef XYZ", max_size=30),
-    st.text(alphabet="abcdef", min_size=1, max_size=5),
-)
-def test_literal_highlight_preserves_content(text, term):
-    marked = LiteralSearch().highlight(text, term, marker="|")
-    assert marked.replace("|", "") == text
 
 
 # -- semantic --------------------------------------------------------------------

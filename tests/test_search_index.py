@@ -1,11 +1,11 @@
 """Tests for the scalable vector-index subsystem (repro.search.index).
 
 Covers the exact :class:`VectorIndex` (amortized growth, tombstones,
-batched argpartition top-k), the persistence layer (round-trips, memmap
-warm loads, loud corruption failures), the two-stage ANN pipeline
-(exactness of reranked scores, recall@10), the MinHash LSH re-add and
+argpartition top-k, owner scoping), the persistence layer (round-trips,
+memmap warm loads, loud corruption failures), the MinHash LSH re-add and
 remove fixes, and the registry-service integration (incremental deltas,
-warm restart identical to fresh rebuild, corrupt-index fallback).
+warm restart identical to fresh rebuild, corrupt-index fallback, legacy
+index directories).
 """
 
 import json
@@ -14,16 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.aroma.lsh import MinHashLSHIndex
 from repro.laminar.client.client import ClientError, LaminarClient
 from repro.laminar.server.app import LaminarServer
-from repro.search import SemanticSearch
 from repro.search.index import (
     IndexPersistenceError,
-    RandomHyperplaneLSH,
-    TwoStageIndex,
     VectorIndex,
     load_index,
     manifest_info,
@@ -62,20 +58,6 @@ def test_vector_index_matches_brute_force():
     assert [i for i, _ in vi.search_vector(q, top_k=10)] == _brute_force_top_k(
         vecs, q, 10
     )
-
-
-def test_vector_index_batch_matches_single():
-    vecs = _corpus(150)
-    vi = VectorIndex(32)
-    vi.add_batch(list(range(150)), vecs)
-    queries = _corpus(5, seed=9)
-    batched = vi.search_batch(queries, top_k=7)
-    for row, result in zip(queries, batched):
-        single = vi.search_vector(row, top_k=7)
-        assert [i for i, _ in result] == [i for i, _ in single]
-        assert np.allclose(
-            [s for _, s in result], [s for _, s in single], atol=1e-5
-        )
 
 
 def test_vector_index_incremental_equals_bulk():
@@ -300,104 +282,6 @@ def test_persistence_manifest_info(saved_index):
     assert info["count"] == 119 and info["dim"] == 32
 
 
-# -- random-hyperplane LSH -------------------------------------------------
-
-
-def test_hyperplane_lsh_self_retrieval_and_remove():
-    vecs = _corpus(100)
-    lsh = RandomHyperplaneLSH(32, bands=8, rows=6, seed=1)
-    lsh.add_batch(list(range(100)), vecs)
-    assert 5 in lsh.candidates(vecs[5])
-    assert lsh.remove(5) is True
-    assert lsh.remove(5) is False
-    assert 5 not in lsh.candidates(vecs[5])
-    assert len(lsh) == 99
-
-
-def test_hyperplane_lsh_re_add_replaces():
-    lsh = RandomHyperplaneLSH(8, bands=4, rows=4, seed=1)
-    lsh.add("a", np.ones(8))
-    lsh.add("a", -np.ones(8))  # re-add with the opposite vector
-    assert len(lsh) == 1
-    assert "a" not in lsh.candidates(np.ones(8))
-    assert "a" in lsh.candidates(-np.ones(8))
-
-
-# -- two-stage index -------------------------------------------------------
-
-
-def test_two_stage_scores_are_exact_subset():
-    vecs = _corpus(500)
-    exact = VectorIndex(32)
-    exact.add_batch(list(range(500)), vecs)
-    ts = TwoStageIndex(32, bands=16, rows=8, seed=3, candidate_multiplier=2)
-    ts.add_batch(list(range(500)), vecs)
-    full = dict(exact.search_vector(vecs[3], top_k=500))
-    for item, score in ts.search_vector(vecs[3], top_k=10):
-        assert item in full  # two-stage results ⊆ exact results
-        assert score == pytest.approx(full[item], abs=1e-6)
-
-
-def test_two_stage_small_corpus_falls_back_to_exact():
-    vecs = _corpus(20)
-    ts = TwoStageIndex(32, bands=4, rows=16, seed=3, candidate_multiplier=4)
-    exact = VectorIndex(32)
-    ts.add_batch(list(range(20)), vecs)
-    exact.add_batch(list(range(20)), vecs)
-    assert ts.search_vector(vecs[0], top_k=5) == exact.search_vector(
-        vecs[0], top_k=5
-    )
-    assert ts.stats()["fallbacks"] == 1
-
-
-def test_two_stage_recall_at_10_on_1k_corpus():
-    n, dim = 1000, 32
-    vecs = _corpus(n, dim=dim, clusters=50, seed=11)
-    exact = VectorIndex(dim)
-    exact.add_batch(list(range(n)), vecs)
-    ts = TwoStageIndex(dim, bands=16, rows=8, seed=11, candidate_multiplier=1)
-    ts.add_batch(list(range(n)), vecs)
-    rng = np.random.default_rng(99)
-    hits = total = 0
-    queries = vecs[rng.choice(n, size=50, replace=False)] + (
-        0.05 * rng.standard_normal((50, dim)).astype(np.float32)
-    )
-    approx_batch = ts.search_batch(queries, top_k=10)
-    for query, approx in zip(queries, approx_batch):
-        truth = {i for i, _ in exact.search_vector(query, top_k=10)}
-        hits += len({i for i, _ in approx} & truth)
-        total += len(truth)
-    assert hits / total >= 0.9
-
-
-def test_two_stage_remove_consistency():
-    vecs = _corpus(200)
-    ts = TwoStageIndex(32, bands=16, rows=6, seed=5)
-    ts.add_batch(list(range(200)), vecs)
-    assert ts.remove(10) is True
-    assert ts.remove(10) is False
-    assert 10 not in ts
-    for item, _ in ts.search_vector(vecs[10], top_k=20):
-        assert item != 10
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=199), st.integers(min_value=1, max_value=15))
-def test_two_stage_subset_property(query_row, top_k):
-    vecs = _corpus(200, seed=7)
-    ts = TwoStageIndex(32, bands=12, rows=6, seed=7, candidate_multiplier=1)
-    ts.add_batch(list(range(200)), vecs)
-    exact = VectorIndex(32)
-    exact.add_batch(list(range(200)), vecs)
-    full = dict(exact.search_vector(vecs[query_row], top_k=200))
-    result = ts.search_vector(vecs[query_row], top_k=top_k)
-    assert len(result) <= top_k
-    scores = [s for _, s in result]
-    assert scores == sorted(scores, reverse=True)
-    for item, score in result:
-        assert score == pytest.approx(full[item], abs=1e-6)
-
-
 # -- MinHash LSH fixes (satellite) -----------------------------------------
 
 
@@ -433,32 +317,6 @@ def test_minhash_remove_then_query():
     assert len(idx) == 1
     assert "a" not in idx.candidates({"x", "y"})
     assert [h[0] for h in idx.query({"x", "z"})] == ["b"]
-
-
-# -- SemanticSearch batched API --------------------------------------------
-
-
-def test_semantic_search_batch_matches_single():
-    s = SemanticSearch()
-    for i, text in enumerate(
-        ["counts words in text", "checks numbers for primality", "sorts records"]
-    ):
-        s.add(i, text)
-    queries = ["word counting", "prime numbers"]
-    batched = s.search_batch(queries, top_k=3)
-    for query, result in zip(queries, batched):
-        assert [i for i, _ in result] == [i for i, _ in s.search(query, top_k=3)]
-    assert s.search_batch([], top_k=3) == []
-
-
-def test_semantic_search_two_stage_backend():
-    from repro.models.embedder import UniXcoderEmbedder
-
-    embedder = UniXcoderEmbedder()
-    s = SemanticSearch(embedder, index=TwoStageIndex(embedder.dim))
-    s.add("w", "counts the words in a text document")
-    s.add("p", "checks whether a number is prime")
-    assert s.search("how many words", top_k=1)[0][0] == "w"
 
 
 # -- registry-service integration ------------------------------------------
@@ -676,92 +534,55 @@ def test_service_index_metrics_exposed():
         server.close()
 
 
-# -- two-stage (LSH) persistence ----------------------------------------------
+def test_legacy_two_stage_index_dir_warm_starts_as_exact(tmp_path):
+    """An ``index_dir`` saved by the retired two-stage (LSH) tier — a
+    manifest with an ``lsh`` key beside an LSH bucket sidecar file — still
+    warm-starts: the vectors load as the exact index and every tenant's
+    top-10 equals a cold rebuild's."""
+    db = str(tmp_path / "reg.sqlite")
+    index_dir = tmp_path / "index"
+    server = LaminarServer(db_path=db, index_dir=str(index_dir))
+    try:
+        owners = [server.auth.resolve(None)]
+        for name in ("alice", "bob"):
+            server.auth.register(name, "pw")
+            owners.append(server.users.by_name(name))
+        for i, desc in enumerate(_DESCRIPTIONS):
+            server.registry.register_pe(
+                owners[i % 3], _PE_TEMPLATE.format(name=f"Pe{i}", tag=i),
+                name=f"Pe{i}", description=desc,
+            )
+        server.registry.index_save()
+    finally:
+        server.close()
 
+    pe_dir = index_dir / "pe"
+    manifest = json.loads((pe_dir / "manifest.json").read_text())
+    manifest["lsh"] = {"bands": 12, "rows": 10, "seed": 2024}
+    (pe_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    (pe_dir / "lsh.json").write_text(json.dumps({
+        "format": "repro-lsh-buckets",
+        "version": 1,
+        "bands": 12,
+        "rows": 10,
+        "seed": 2024,
+        "candidate_multiplier": 4,
+        "keys": [[item, ["%04x" % (item + band) for band in range(12)]]
+                 for item in manifest["ids"]],
+    }))
 
-@pytest.fixture()
-def saved_two_stage(tmp_path):
-    vecs = _corpus(300)
-    idx = TwoStageIndex(32, bands=8, rows=6, seed=99, candidate_multiplier=2)
-    idx.add_batch(list(range(300)), vecs)
-    save_index(idx, tmp_path / "idx")
-    return idx, vecs, tmp_path / "idx"
-
-
-def test_two_stage_round_trip_restores_buckets(saved_two_stage):
-    idx, vecs, path = saved_two_stage
-    loaded = load_index(path)
-    assert isinstance(loaded, TwoStageIndex)
-    assert len(loaded) == 300
-    assert loaded.lsh.bands == 8 and loaded.lsh.rows == 6
-    assert loaded.lsh.seed == 99 and loaded.candidate_multiplier == 2
-    q = vecs[42] + 0.01
-    # identical candidate sets (bucket maps restored, planes reseeded)
-    assert idx.lsh.candidates(q) == loaded.lsh.candidates(q)
-    # identical two-stage results with exact scores
-    a = idx.search_vector(q, top_k=10)
-    b = loaded.search_vector(q, top_k=10)
-    assert [i for i, _ in a] == [i for i, _ in b]
-    assert np.allclose([s for _, s in a], [s for _, s in b], atol=1e-6)
-
-
-def test_two_stage_warm_start_skips_projection(saved_two_stage, monkeypatch):
-    _, _, path = saved_two_stage
-    # A warm start must never re-project stored vectors through the
-    # hyperplanes — only queries do that, after loading.
-    calls = {"n": 0}
-    original = RandomHyperplaneLSH._band_keys
-
-    def counting(self, vectors):
-        calls["n"] += 1
-        return original(self, vectors)
-
-    monkeypatch.setattr(RandomHyperplaneLSH, "_band_keys", counting)
-    loaded = load_index(path)
-    assert calls["n"] == 0
-    assert len(loaded.lsh) == 300
-
-
-def test_two_stage_manifest_records_lsh(saved_two_stage):
-    _, _, path = saved_two_stage
-    info = manifest_info(path)
-    assert info["lsh"] == {"bands": 8, "rows": 6, "seed": 99}
-
-
-def test_two_stage_stale_sidecar_fails_loud(saved_two_stage):
-    _, _, path = saved_two_stage
-    doc = json.loads((path / "lsh.json").read_text())
-    doc["keys"] = doc["keys"][:-1]  # sidecar no longer covers every id
-    (path / "lsh.json").write_text(json.dumps(doc))
-    with pytest.raises(IndexPersistenceError) as err:
-        load_index(path)
-    assert err.value.reason == "lsh-mismatch"
-
-
-def test_two_stage_corrupt_sidecar_fails_loud(saved_two_stage):
-    _, _, path = saved_two_stage
-    (path / "lsh.json").write_text("not json")
-    with pytest.raises(IndexPersistenceError) as err:
-        load_index(path)
-    assert err.value.reason == "bad-lsh"
-
-
-def test_two_stage_sidecar_version_checked(saved_two_stage):
-    _, _, path = saved_two_stage
-    doc = json.loads((path / "lsh.json").read_text())
-    doc["version"] = 99
-    (path / "lsh.json").write_text(json.dumps(doc))
-    with pytest.raises(IndexPersistenceError) as err:
-        load_index(path)
-    assert err.value.reason == "version"
-
-
-def test_plain_save_drops_stale_sidecar(saved_two_stage):
-    idx, vecs, path = saved_two_stage
-    vi = VectorIndex(32)
-    vi.add_batch([1, 2, 3], vecs[:3])
-    save_index(vi, path)  # plain index over a two-stage save
-    assert not (path / "lsh.json").exists()
-    loaded = load_index(path)
-    assert not isinstance(loaded, TwoStageIndex)
-    assert len(loaded) == 3
+    warm = LaminarServer(db_path=db, index_dir=str(index_dir))
+    cold = LaminarServer(db_path=db)
+    try:
+        for owner in owners:
+            for query in ("text processing", "numbers in a stream"):
+                warm_hits = warm.registry.semantic_search(query, top_k=10, user=owner)
+                cold_hits = cold.registry.semantic_search(query, top_k=10, user=owner)
+                assert warm_hits and warm_hits == cold_hits
+        stats = warm.registry.index_stats()
+        assert any("index_warm_start" in e and "kind=pe" in e for e in stats["events"])
+        assert not any("index_corrupt" in e for e in stats["events"])
+        assert stats["kinds"]["pe"]["rebuilds"] == 0
+    finally:
+        warm.close()
+        cold.close()
