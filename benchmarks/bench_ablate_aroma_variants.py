@@ -1,10 +1,10 @@
 """A3 — §VI-A ablation: Laminar's simplified SPT search vs full Aroma.
 
 The paper replaced Aroma's prune/rerank/cluster stages with a plain
-similarity ranking "for efficiency, simplicity, and scalability".  This
+overlap ranking "for efficiency, simplicity, and scalability".  This
 ablation quantifies the trade on the CodeSearchNet-PE corpus: retrieval
 quality (precision@5 against family ground truth) and per-query latency
-for both variants.
+for both variants.  The shipped variant is the served ``CodeSearch``.
 """
 
 import time
@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.aroma import AromaRecommender, LaminarSPTSearch
+from repro.aroma.recommend import AromaRecommender
 from repro.eval.dropper import drop_suffix
+from repro.search.code import CodeSearch
 
 N_QUERIES = 40
 
@@ -27,10 +28,9 @@ def ablation_corpus(corpus_eval):
 
 @pytest.fixture(scope="module")
 def engines(ablation_corpus):
-    laminar = LaminarSPTSearch()
-    for item in ablation_corpus:
-        laminar.add(item.uid, item.pe_source, metadata={"family": item.family})
-    laminar.build()
+    laminar = CodeSearch()  # keyed by position: ties rank in corpus order
+    for i, item in enumerate(ablation_corpus):
+        laminar.add(i, item.pe_source)
     full = AromaRecommender(search_width=30).fit(
         [(item.uid, item.pe_source, {"family": item.family}) for item in ablation_corpus]
     )
@@ -51,15 +51,15 @@ def test_aroma_variants_quality_and_latency(report, engines, ablation_corpus, be
     queries = ablation_corpus[:N_QUERIES]
 
     stats = {"laminar": {"p5": [], "t": []}, "full": {"p5": [], "t": []}}
-    for item in queries:
+    for pos, item in enumerate(queries):
         query = drop_suffix(item.function_source, 0.5)
 
         start = time.perf_counter()
-        hits = laminar.search(query, threshold=1.0)
+        hits = laminar.search_spt(query, threshold=1.0)
         stats["laminar"]["t"].append(time.perf_counter() - start)
         stats["laminar"]["p5"].append(
             _precision_at_5(
-                [family_of[h.snippet_id] for h in hits if h.snippet_id != item.uid],
+                [ablation_corpus[i].family for i, _ in hits if i != pos],
                 item.family,
             )
         )
@@ -80,7 +80,7 @@ def test_aroma_variants_quality_and_latency(report, engines, ablation_corpus, be
         )
 
     rows = []
-    for key, label in (("laminar", "cosine-SPT (shipped)"), ("full", "full Aroma")):
+    for key, label in (("laminar", "overlap-SPT (shipped)"), ("full", "full Aroma")):
         p5 = float(np.mean(stats[key]["p5"]))
         ms = float(np.mean(stats[key]["t"])) * 1e3
         rows.append(f"{label:<22} precision@5 {p5:.3f}   latency {ms:7.2f} ms/query")
@@ -97,4 +97,4 @@ def test_aroma_variants_quality_and_latency(report, engines, ablation_corpus, be
     assert np.mean(stats["laminar"]["p5"]) > 0.3
 
     query = drop_suffix(ablation_corpus[0].function_source, 0.5)
-    benchmark(lambda: laminar.search(query, threshold=1.0))
+    benchmark(lambda: laminar.search_spt(query, threshold=1.0))

@@ -1,10 +1,10 @@
 """A4 — §IX future work: MinHash-LSH acceleration of structural search.
 
 The paper's conclusion plans LSH (after Senatus) to scale structural
-code search.  This ablation compares the exact overlap search against
-the LSH index on recall@5 (vs the exact top-5 as ground truth) and on
-candidate-set size — the quantity LSH shrinks from |corpus| to a bucket
-collision set.
+code search.  This ablation compares the exact overlap search (the
+served ``CodeSearch``) against the LSH index on recall@5 (vs the exact
+top-5 as ground truth) and on candidate-set size — the quantity LSH
+shrinks from |corpus| to a bucket collision set.
 """
 
 import time
@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.aroma import AromaIndex, MinHashLSHIndex
+from repro.aroma import MinHashLSHIndex
 from repro.aroma.features import feature_set
 from repro.aroma.spt import python_to_spt
+from repro.search.code import CodeSearch
 
 N_QUERIES = 40
 
@@ -22,15 +23,14 @@ N_QUERIES = 40
 @pytest.fixture(scope="module")
 def indexes(corpus_eval):
     corpus = corpus_eval[:480]
-    exact = AromaIndex()
+    exact = CodeSearch()  # keyed by position: ties rank in corpus order
     lsh = MinHashLSHIndex(num_perm=64, bands=16, rows=4)
     features = {}
-    for item in corpus:
-        exact.add(item.uid, item.pe_source)
+    for i, item in enumerate(corpus):
+        exact.add(i, item.pe_source)
         fs = feature_set(python_to_spt(item.pe_source))
         features[item.uid] = fs
         lsh.add(item.uid, fs)
-    exact.build()
     return corpus, exact, lsh, features
 
 
@@ -40,7 +40,9 @@ def test_lsh_vs_exact(report, indexes, benchmark):
 
     for item in corpus[:N_QUERIES]:
         start = time.perf_counter()
-        exact_hits = [h.snippet_id for h in exact.search(item.pe_source, top_n=5)]
+        exact_hits = [
+            corpus[i].uid for i, _ in exact.search_spt(item.pe_source, top_k=5, threshold=0.0)
+        ]
         t_exact.append(time.perf_counter() - start)
 
         start = time.perf_counter()

@@ -2,15 +2,15 @@
 
 Paper: Aroma keeps high precision with full snippets, still performs
 well at 50 % and 75 % dropped, max F1 ≈ 0.63.  The printed block is the
-figure's four curves; the timed body is one structural search against
-the built index.
+figure's four curves, ranked by the served structural engine
+(``CodeSearch``); the timed body is one structural search against it.
 """
 
 import pytest
 
-from repro.aroma.index import AromaIndex
 from repro.eval import run_code_to_code_eval
 from repro.eval.dropper import DROP_LEVELS, drop_suffix
+from repro.search.code import CodeSearch
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,9 @@ def test_fig12_aroma_pr_curves(report, aroma_result, benchmark, corpus_eval):
         aroma_result.curves[0.0].best_f1() >= aroma_result.curves[0.9].best_f1()
     )
 
-    index = AromaIndex()
+    index = CodeSearch()
     for item in corpus_eval[:240]:
         index.add(item.uid, item.pe_source)
-    index.build()
     query = drop_suffix(corpus_eval[0].function_source, 0.5)
-    hits = benchmark(lambda: index.search(query, top_n=5))
+    hits = benchmark(lambda: index.search_spt(query, top_k=5, threshold=0.0))
     assert hits

@@ -13,7 +13,7 @@ new PE and asks Laminar for recommendations:
 Run:  python examples/code_recommendation.py
 """
 
-from repro.aroma import AromaRecommender
+from repro.aroma.recommend import AromaRecommender
 from repro.datasets import generate_corpus
 from repro.eval.dropper import drop_suffix
 from repro.laminar import LaminarClient

@@ -2,8 +2,8 @@
 
 Aroma (Luan et al., OOPSLA 2019) recommends code by *structural*
 similarity: snippets are parsed into **simplified parse trees (SPTs)**,
-featurised into sparse vectors capturing local structure with variable
-names abstracted away, and searched with sparse matrix multiplication.
+featurised into feature sets capturing local structure with variable
+names abstracted away, and ranked by feature overlap with the query.
 The original uses ANTLR-generated Java parse trees; offline we derive SPTs
 from the stdlib ``ast`` module instead (see DESIGN.md substitution S13) —
 the SPT shape (keyword-token labels, abstracted variables) is preserved.
@@ -14,22 +14,19 @@ Pipeline stages (paper Fig 3):
   loop so *partial* snippets still parse (essential for Figs 12/13).
 * :mod:`repro.aroma.features` — token / parent / sibling / variable-usage
   feature extraction.
-* :mod:`repro.aroma.vocab` — feature vocabulary + sparse vectorisation.
-* :mod:`repro.aroma.index` — the searchable corpus index (overlap scores
-  via one CSR matrix–vector product).
+* :class:`repro.search.code.CodeSearch` — the searchable index (overlap
+  scores); the server and the paper's figures share it.
 * :mod:`repro.aroma.prune` — prune-and-rerank against the query.
 * :mod:`repro.aroma.cluster` — iterative clustering of reranked results.
-* :mod:`repro.aroma.recommend` — the full recommender plus Laminar 2.0's
-  simplified cosine/dot-product variant (§VI-A, default threshold 6.0).
+* :mod:`repro.aroma.recommend` — the full recommender, layered over
+  ``CodeSearch`` (so it is not re-exported here).  Laminar 2.0 ships only
+  its first stage, the overlap search (§VI-A, threshold 6.0).
 * :mod:`repro.aroma.lsh` — MinHash-LSH acceleration (the paper's stated
   future work, after Senatus).
 """
 
 from repro.aroma.spt import SPTLeaf, SPTNode, python_to_spt
 from repro.aroma.features import extract_features
-from repro.aroma.vocab import FeatureVocabulary
-from repro.aroma.index import AromaIndex
-from repro.aroma.recommend import AromaRecommender, LaminarSPTSearch
 from repro.aroma.lsh import MinHashLSHIndex
 
 __all__ = [
@@ -37,9 +34,5 @@ __all__ = [
     "SPTLeaf",
     "python_to_spt",
     "extract_features",
-    "FeatureVocabulary",
-    "AromaIndex",
-    "AromaRecommender",
-    "LaminarSPTSearch",
     "MinHashLSHIndex",
 ]

@@ -15,7 +15,8 @@ drives similarity:
   "assigned under `=`, then used inside a `call`").
 
 Features are returned as a multiset (collections.Counter) of strings;
-:mod:`repro.aroma.vocab` turns them into sparse vectors.
+:class:`repro.search.code.CodeSearch` ranks by the overlap of their key
+sets.
 """
 
 from __future__ import annotations

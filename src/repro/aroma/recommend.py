@@ -1,45 +1,40 @@
-"""End-to-end code recommendation: full Aroma and Laminar's simplified cut.
+"""End-to-end code recommendation: the full Aroma pipeline.
 
 :class:`AromaRecommender` runs the complete pipeline of the original paper
-(search → prune → rerank → cluster → recommend).  :class:`LaminarSPTSearch`
-is what Laminar 2.0 actually ships (§VI-A): SPT featurisation plus a plain
-similarity ranking — "for efficiency, simplicity, and scalability, without
-the need for complex clustering or reranking steps" — returning up to five
-results whose score clears a configurable threshold (default 6.0, the
-value in the paper's Fig 9).  The ablation bench ``bench_ablate_aroma_
-variants`` quantifies what the simplification trades away.
+(search → prune → rerank → cluster → recommend).  Its first stage is the
+served structural search, :class:`~repro.search.code.CodeSearch`, which is
+also what Laminar 2.0 ships on its own (§VI-A): SPT featurisation plus a
+plain overlap ranking — "for efficiency, simplicity, and scalability,
+without the need for complex clustering or reranking steps" — returning up
+to five results whose score clears 6.0, the value in the paper's Fig 9.
+The ablation bench ``bench_ablate_aroma_variants`` quantifies what the
+simplification trades away.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.aroma.cluster import Cluster, cluster_candidates
 from repro.aroma.features import extract_features
-from repro.aroma.index import AromaIndex, SearchHit
 from repro.aroma.prune import prune_spt, rerank_score
-from repro.aroma.spt import ParseFailure, python_to_spt
+from repro.aroma.spt import ParseFailure, SPTNode, python_to_spt
+from repro.search.code import CodeSearch
 
-__all__ = ["AromaRecommender", "LaminarSPTSearch", "Recommendation", "spt_embedding"]
-
-
-def spt_embedding(source: str) -> dict[str, int]:
-    """JSON-able SPT feature multiset — the registry's ``sptEmbedding``.
-
-    This is exactly what Laminar stores per PE (paper Fig 6): the feature
-    counter serialised as a JSON object, computed once at registration.
-    """
-    return dict(extract_features(python_to_spt(source)))
+__all__ = ["AromaRecommender", "Recommendation"]
 
 
-def embedding_to_counter(embedding: dict[str, int] | str) -> Counter:
-    """Inverse of :func:`spt_embedding`; accepts the JSON string form too."""
-    if isinstance(embedding, str):
-        embedding = json.loads(embedding)
-    return Counter(embedding)
+@dataclass
+class _Snippet:
+    """One indexed snippet with its parsed and featurised forms."""
+
+    snippet_id: Any
+    source: str
+    spt: SPTNode
+    features: Counter
+    metadata: dict
 
 
 @dataclass
@@ -56,7 +51,10 @@ class Recommendation:
 
 
 class AromaRecommender:
-    """The full Aroma pipeline over an :class:`AromaIndex`.
+    """The full Aroma pipeline over a :class:`CodeSearch`.
+
+    Snippets are keyed in the search index by their position, so overlap
+    ties rank in insertion order.
 
     Parameters
     ----------
@@ -75,20 +73,23 @@ class AromaRecommender:
         gamma: float = 0.25,
         tau: float = 0.4,
     ) -> None:
-        self.index = AromaIndex()
+        self.index = CodeSearch()
+        self._snippets: list[_Snippet] = []
         self.search_width = search_width
         self.gamma = gamma
         self.tau = tau
 
     def add(self, snippet_id: Any, source: str, metadata: dict | None = None) -> None:
-        """Index one snippet (call :meth:`fit` or build the index after)."""
-        self.index.add(snippet_id, source, metadata)
+        """Parse, featurise and index one snippet."""
+        spt = python_to_spt(source)
+        snippet = _Snippet(snippet_id, source, spt, extract_features(spt), dict(metadata or {}))
+        self.index.add(len(self._snippets), source, features=snippet.features)
+        self._snippets.append(snippet)
 
     def fit(self, corpus: list[tuple[Any, str]] | list[tuple[Any, str, dict]]) -> "AromaRecommender":
         """Index a corpus of ``(id, source)`` or ``(id, source, metadata)``."""
         for entry in corpus:
             self.add(*entry)
-        self.index.build()
         return self
 
     def recommend(self, query_source: str, top_n: int = 5) -> list[Recommendation]:
@@ -100,15 +101,18 @@ class AromaRecommender:
         query_features = extract_features(query_spt)
 
         # 1. Fast overlap search.
-        hits = self.index.search(
-            query_source, top_n=self.search_width, mode="overlap", min_score=1.0
-        )
+        hits = [
+            self._snippets[i]
+            for i, _ in self.index.search_spt(
+                query_source, top_k=self.search_width, threshold=1.0
+            )
+        ]
         if not hits:
             return []
 
         # 2–3. Prune each candidate against the query, rerank by the
         # similarity of the pruned snippet.
-        pruned_hits: list[tuple[SearchHit, Any, float]] = []
+        pruned_hits: list[tuple[_Snippet, SPTNode, float]] = []
         for hit in hits:
             pruned = prune_spt(hit.spt, query_features, gamma=self.gamma)
             pruned_hits.append((hit, pruned, rerank_score(pruned, query_features)))
@@ -139,40 +143,3 @@ class AromaRecommender:
             )
         return recs
 
-
-class LaminarSPTSearch:
-    """Laminar 2.0's simplified structural search (§VI-A).
-
-    Ranks registered snippets by raw SPT-feature overlap with the query
-    and returns up to ``top_k`` whose score is at least ``threshold``
-    (defaults 5 and 6.0, the paper's values).  No pruning, reranking or
-    clustering — one sparse matrix product per query.
-    """
-
-    def __init__(self, top_k: int = 5, threshold: float = 6.0) -> None:
-        self.index = AromaIndex()
-        self.top_k = top_k
-        self.threshold = threshold
-
-    def add(self, snippet_id: Any, source: str, metadata: dict | None = None) -> None:
-        """Register one snippet in the searchable index."""
-        self.index.add(snippet_id, source, metadata)
-
-    def build(self) -> "LaminarSPTSearch":
-        """Freeze the index; must be called before :meth:`search`."""
-        self.index.build()
-        return self
-
-    def search(
-        self,
-        query_source: str,
-        top_k: int | None = None,
-        threshold: float | None = None,
-    ) -> list[SearchHit]:
-        """Structural hits above threshold, best first."""
-        return self.index.search(
-            query_source,
-            top_n=top_k if top_k is not None else self.top_k,
-            mode="overlap",
-            min_score=threshold if threshold is not None else self.threshold,
-        )

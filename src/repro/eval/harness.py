@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aroma.index import AromaIndex
+from repro.aroma.spt import ParseFailure
 from repro.datasets.codesearchnet import CorpusItem, generate_corpus
 from repro.eval.dropper import DROP_LEVELS, drop_suffix
 from repro.eval.metrics import PRCurve, average_pr_curve, token_f1
 from repro.models.describer import CodeT5Describer, DescriptionContext
 from repro.models.embedder import UniXcoderEmbedder
 from repro.models.reacc import ReACCRetriever
+from repro.search.code import CodeSearch
 
 __all__ = [
     "TextToCodeResult",
@@ -116,15 +117,18 @@ def run_text_to_code_eval(
 def _aroma_rankings(
     corpus: list[CorpusItem], drop: float, max_k: int, max_queries: int | None = None
 ):
-    index = AromaIndex()
-    for item in corpus:
-        index.add(item.uid, item.pe_source)
-    index.build()
+    # The served structural engine, keyed by corpus position so overlap
+    # ties rank in corpus order.
+    index = CodeSearch()
+    for i, item in enumerate(corpus):
+        index.add(i, item.pe_source)
     relevant = _relevant_sets(corpus)
     for item in corpus[: max_queries or len(corpus)]:
         query = drop_suffix(item.function_source, drop)
-        scores = index.scores(query, mode="overlap")
-        order = np.argsort(-scores, kind="stable")
+        try:
+            order = [i for i, _ in index.search_spt(query, top_k=None, threshold=0.0)]
+        except ParseFailure:  # nothing to match: every row scores zero
+            order = range(len(corpus))
         ranked = [corpus[i].uid for i in order if corpus[i].uid != item.uid]
         yield ranked, relevant[item.family] - {item.uid}
 

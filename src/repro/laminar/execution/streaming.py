@@ -182,11 +182,21 @@ class StdoutRouter:
                 cls._instance = cls()
             return cls._instance
 
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        # The one proxy, alive as long as the router (the process): print()
+        # holds a *borrowed* reference to sys.stdout, so a proxy freed when
+        # something swaps sys.stdout mid-print would crash the run thread.
+        self._proxy = _StdoutProxy(sys.stdout)
+
     def install(self) -> None:
-        """Put the proxy in front of ``sys.stdout`` unless it is there.  It
-        stays: outside an enactment it passes every write through."""
-        if not isinstance(sys.stdout, _StdoutProxy):
-            sys.stdout = _StdoutProxy(sys.stdout)
+        """Put the proxy back in front of ``sys.stdout`` unless it is there,
+        passing through to whatever stream it displaced.  It stays: outside
+        an enactment it passes every write through."""
+        with self._lock:
+            if sys.stdout is not self._proxy:
+                self._proxy._fallback = sys.stdout
+                sys.stdout = self._proxy
 
     def run_streaming(
         self,

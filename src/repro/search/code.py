@@ -16,9 +16,11 @@ partitioned by owner, so ``search_spt(..., owner=t)`` and
 ``search_llm(..., owner=t)`` score only that owner's snippets.  ``lock``
 is held around the scoring step only (never around featurising the
 query); a server that mutates the index from other threads sets it to the
-lock guarding those mutations.  For large read-mostly corpora,
-:class:`repro.aroma.index.AromaIndex` (sparse matrix) or
-:class:`repro.aroma.lsh.MinHashLSHIndex` are the bulk engines.
+lock guarding those mutations.  It is the one structural engine: the
+server's recommendations, the paper's Fig 12 evaluation
+(:mod:`repro.eval.harness`), the full-Aroma recommender
+(:mod:`repro.aroma.recommend`) and the A3/A4 ablations all rank through
+:meth:`CodeSearch.search_spt`.
 """
 
 from __future__ import annotations
@@ -86,9 +88,13 @@ class CodeSearch:
         threshold: float = DEFAULT_THRESHOLD,
         owner: Any = None,
     ) -> list[tuple[Any, float]]:
-        """Structural overlap search, best first (ties by id); ``top_k=None``
-        keeps every hit over the threshold.  Raises ``ParseFailure`` on
-        garbage."""
+        """Structural overlap search, best first; ``top_k=None`` keeps every
+        hit over the threshold.  Raises ``ParseFailure`` on garbage.
+
+        Ties rank by id, so the ids of one index must be mutually
+        orderable: the server's integer row ids rank in registration
+        order, and a caller keying rows by position gets insertion order.
+        """
         query = frozenset(extract_features(python_to_spt(snippet)))
         with self.lock:
             if owner is None:
@@ -100,7 +106,7 @@ class CodeSearch:
                 for item_id, fs in rows
                 if (score := float(len(query & fs))) >= threshold
             ]
-        scored.sort(key=lambda t: (-t[1], str(t[0])))
+        scored.sort(key=lambda t: (-t[1], t[0]))
         return scored[:top_k]
 
     def search_llm(

@@ -1,20 +1,15 @@
-"""Tests for the Aroma index, pruning, clustering, recommender and LSH."""
+"""Tests for structural search over an Aroma corpus, pruning, clustering,
+the recommender and LSH."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aroma import (
-    AromaIndex,
-    AromaRecommender,
-    LaminarSPTSearch,
-    MinHashLSHIndex,
-    extract_features,
-    python_to_spt,
-)
+from repro.aroma import MinHashLSHIndex, extract_features, python_to_spt
 from repro.aroma.cluster import cluster_candidates, jaccard
 from repro.aroma.features import feature_set
 from repro.aroma.prune import prune_spt, rerank_score
-from repro.aroma.recommend import embedding_to_counter, spt_embedding
+from repro.aroma.recommend import AromaRecommender
+from repro.search.code import CodeSearch
 
 CORPUS = {
     "producer": """
@@ -50,10 +45,9 @@ class WordSplit(IterativePE):
 
 @pytest.fixture(scope="module")
 def index():
-    idx = AromaIndex()
+    idx = CodeSearch()
     for sid, src in CORPUS.items():
-        idx.add(sid, src, metadata={"name": sid})
-    idx.build()
+        idx.add(sid, src)
     return idx
 
 
@@ -63,51 +57,39 @@ def test_index_len(index):
 
 def test_overlap_search_finds_fig9_query(index):
     """The paper's Fig 9: 'random.randint(1, 1000)' -> NumberProducer."""
-    hits = index.search("random.randint(1, 1000)", top_n=1)
-    assert hits[0].snippet_id == "producer"
-    assert hits[0].score >= 6.0  # clears Laminar's default threshold
+    hits = index.search_spt("random.randint(1, 1000)", top_k=1)
+    assert hits[0][0] == "producer"
+    assert hits[0][1] >= 6.0  # clears Laminar's default threshold
 
 
 def test_exact_snippet_is_top_hit(index):
     for sid, src in CORPUS.items():
-        hits = index.search(src, top_n=1)
-        assert hits[0].snippet_id == sid, f"self-retrieval failed for {sid}"
+        hits = index.search_spt(src, top_k=1)
+        assert hits[0][0] == sid, f"self-retrieval failed for {sid}"
 
 
 def test_partial_snippet_still_retrieves(index):
     partial = "\n".join(CORPUS["isprime"].strip().splitlines()[:3])
-    hits = index.search(partial, top_n=2)
-    assert hits[0].snippet_id == "isprime"
+    hits = index.search_spt(partial, top_k=2, threshold=0.0)
+    assert hits[0][0] == "isprime"
 
 
 def test_min_score_filters(index):
-    hits = index.search("nonexistent_identifier_xyz", top_n=5, min_score=1.0)
-    assert all(h.score >= 1.0 for h in hits)
+    hits = index.search_spt("nonexistent_identifier_xyz", top_k=5, threshold=1.0)
+    assert all(score >= 1.0 for _, score in hits)
 
 
-def test_cosine_mode_bounded(index):
-    scores = index.scores(CORPUS["isprime"], mode="cosine")
-    assert scores.max() <= 1.0 + 1e-9
-    assert scores.max() == pytest.approx(1.0)
+def test_laminar_search_threshold(index):
+    """Laminar's shipped defaults (top 5, threshold 6.0) keep only the
+    Fig 9 match."""
+    hits = index.search_spt("random.randint(1, 1000)")
+    assert [sid for sid, _ in hits] == ["producer"]
+    assert all(score >= 6.0 for _, score in hits)
 
 
-def test_containment_mode(index):
-    scores = index.scores("random.randint(1, 1000)", mode="containment")
-    assert 0.0 <= scores.max() <= 1.0
-
-
-def test_unknown_mode_rejected(index):
-    with pytest.raises(ValueError, match="score mode"):
-        index.scores("x", mode="bogus")
-
-
-def test_empty_index_build_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        AromaIndex().build()
-
-
-def test_unparseable_query_scores_zero(index):
-    assert index.scores("£$%^&*").max() == 0.0
+def test_laminar_search_override_threshold(index):
+    hits = index.search_spt("random.randint(1, 1000)", threshold=1.0, top_k=5)
+    assert len(hits) > 1
 
 
 # -- pruning ---------------------------------------------------------------
@@ -198,42 +180,6 @@ def test_recommend_respects_top_n(recommender):
     assert len(recommender.recommend("def f(x):\n    return x", top_n=2)) <= 2
 
 
-# -- Laminar simplified variant ------------------------------------------------------
-
-
-def test_laminar_search_threshold():
-    ls = LaminarSPTSearch()
-    for sid, src in CORPUS.items():
-        ls.add(sid, src)
-    ls.build()
-    hits = ls.search("random.randint(1, 1000)")
-    assert [h.snippet_id for h in hits] == ["producer"]
-    assert all(h.score >= 6.0 for h in hits)
-
-
-def test_laminar_search_override_threshold():
-    ls = LaminarSPTSearch()
-    for sid, src in CORPUS.items():
-        ls.add(sid, src)
-    ls.build()
-    hits = ls.search("random.randint(1, 1000)", threshold=1.0, top_k=5)
-    assert len(hits) > 1
-
-
-def test_spt_embedding_roundtrip():
-    emb = spt_embedding(CORPUS["isprime"])
-    assert isinstance(emb, dict) and emb
-    counter = embedding_to_counter(emb)
-    assert counter == extract_features(python_to_spt(CORPUS["isprime"]))
-
-
-def test_embedding_to_counter_accepts_json_string():
-    import json
-
-    emb = spt_embedding("x = 1")
-    assert embedding_to_counter(json.dumps(emb)) == embedding_to_counter(emb)
-
-
 # -- LSH ---------------------------------------------------------------------------
 
 
@@ -283,55 +229,6 @@ def test_lsh_identical_sets_always_collide(features):
     idx = MinHashLSHIndex()
     idx.add("one", features)
     assert "one" in idx.candidates(features)
-
-
-# -- document-frequency pruning -----------------------------------------------
-
-
-def test_max_df_validation():
-    with pytest.raises(ValueError, match="max_df"):
-        AromaIndex(max_df=0.0)
-    with pytest.raises(ValueError, match="max_df"):
-        AromaIndex(max_df=1.5)
-
-
-def test_max_df_drops_boilerplate_features():
-    idx = AromaIndex(max_df=0.5)
-    for sid, src in CORPUS.items():
-        idx.add(sid, src, metadata={})
-    idx.build()
-    # 'IterativePE' appears in 3/5 snippets (> 50% df) -> pruned;
-    # a query of pure boilerplate must then score ~nothing.
-    scores = idx.scores("class X(IterativePE):\n    pass")
-    plain = AromaIndex()
-    for sid, src in CORPUS.items():
-        plain.add(sid, src)
-    plain.build()
-    plain_scores = plain.scores("class X(IterativePE):\n    pass")
-    assert scores.max() < plain_scores.max()
-
-
-def test_max_df_keeps_distinctive_retrieval():
-    idx = AromaIndex(max_df=0.5)
-    for sid, src in CORPUS.items():
-        idx.add(sid, src)
-    idx.build()
-    hits = idx.search("random.randint(1, 1000)", top_n=1)
-    assert hits[0].snippet_id == "producer"
-
-
-def test_max_df_none_is_identity():
-    a = AromaIndex()
-    b = AromaIndex(max_df=1.0)
-    for sid, src in CORPUS.items():
-        a.add(sid, src)
-        b.add(sid, src)
-    a.build()
-    b.build()
-    import numpy as np
-
-    q = CORPUS["isprime"]
-    np.testing.assert_array_equal(a.scores(q), b.scores(q))
 
 
 # -- rerank score properties -----------------------------------------------------

@@ -186,6 +186,20 @@ def test_code_to_code_eval_degrades_with_drop():
     assert res.curves[0.0].best_f1() >= res.curves[0.9].best_f1()
 
 
+def test_aroma_ranking_of_unparseable_query_is_corpus_order():
+    """A query that does not parse scores every row zero, so the served
+    engine's ranking falls back to corpus order (minus the query)."""
+    from dataclasses import replace
+
+    from repro.datasets import generate_corpus
+    from repro.eval.harness import _aroma_rankings
+
+    corpus = generate_corpus(12)
+    corpus[0] = replace(corpus[0], function_source="£$%^&*")
+    ranked, _ = next(_aroma_rankings(corpus, 0.0, max_k=20, max_queries=1))
+    assert ranked == [item.uid for item in corpus[1:]]
+
+
 def test_code_to_code_rejects_unknown_model():
     with pytest.raises(ValueError, match="unknown model"):
         run_code_to_code_eval("gpt")

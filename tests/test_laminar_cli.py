@@ -114,10 +114,25 @@ def test_run_with_multi_verbose_like_fig5b(cli):
 
 
 def test_run_sequential_streams_output(cli):
+    """A sequential run streams a line for exactly the primes its producer
+    drew.  The workflow's ``random`` is this process's module, so seeding
+    it makes the 30 draws known."""
+    import random
+
     shell, out, wf_file = cli
     run_cmd(shell, out, f"register_workflow {wf_file}")
-    text = run_cmd(shell, out, "run isprime_wf -i 30")
-    assert "is prime" in text
+    expected_rng = random.Random(42)
+    draws = [expected_rng.randint(1, 1000) for _ in range(30)]
+    primes = {n for n in draws if n > 1 and all(n % i != 0 for i in range(2, n))}
+    assert primes  # the seed must draw at least one prime
+    state = random.getstate()
+    random.seed(42)
+    try:
+        text = run_cmd(shell, out, "run isprime_wf -i 30")
+    finally:
+        random.setstate(state)
+    printed = {line.strip() for line in text.splitlines() if "is prime" in line}
+    assert printed == {f"the num {n} is prime" for n in primes}
 
 
 def test_run_dynamic(cli):

@@ -144,3 +144,32 @@ def test_standalone_server_module(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_server_imports_only_declared_dependencies():
+    """Starting the server loads no third-party package beyond the
+    dependencies ``pyproject.toml`` declares: the request path needs no
+    sparse-matrix library, and each unused package costs every server
+    process its import time and resident memory."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import repro.laminar.server.app\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    stdlib = set(sys.stdlib_module_names) | set(sys.builtin_module_names)
+    loaded = {
+        m for m in json.loads(proc.stdout) if m not in stdlib and not m.startswith("__")
+    }
+    assert loaded <= {"repro", "numpy", "networkx"}, sorted(loaded)

@@ -118,6 +118,15 @@ def test_code_remove(code_index):
     ]
 
 
+def test_code_spt_ties_rank_by_id_not_its_string():
+    """Equal scores rank by id: integer row ids in registration order,
+    so 9 comes before 10."""
+    cs = CodeSearch()
+    cs.add(9, CODES["prime"])
+    cs.add(10, CODES["prime"])
+    assert [i for i, _ in cs.search_spt(CODES["prime"], threshold=1.0)] == [9, 10]
+
+
 def test_code_unparseable_snippet_raises(code_index):
     with pytest.raises(ParseFailure):
         code_index.search_spt("£$%^&*")
